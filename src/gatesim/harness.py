@@ -12,7 +12,8 @@ event-vs-depth energy comparison, and the 2x2 perception/planner ablation.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,7 +68,6 @@ class EpisodeConfig:
     perception_mode: str = "event-snn"
     planner_mode: str = "pgnn"
     perception_latency: float | None = None  # None -> mode default
-    runs_per_point: int = 10
     max_sensing_bins: int = 20
     seed: int = 0
 
@@ -78,8 +78,10 @@ class EpisodeConfig:
             raise ValueError(f"unknown planner mode {self.planner_mode!r}")
         if self.drone_x <= self.gate_plane_x:
             raise ValueError("drone must start in front of the gate plane")
-        if self.runs_per_point < 1:
-            raise ValueError("runs_per_point must be >= 1")
+        # _perceive_events charges sensing_dt per bin of whole frames
+        bins = self.sensing_dt / self.frame_dt if self.frame_dt > 0 else 0.0
+        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
+            raise ValueError("sensing_dt must be a positive integer multiple of frame_dt")
         if self.perception_latency is not None and self.perception_latency < 0:
             raise ValueError("latency must be >= 0")
 
@@ -390,6 +392,46 @@ def derive_run_config(
     )
 
 
+def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,
+               template: EpisodeConfig, combos) -> list[tuple]:
+    """Run every (perception, planner) combo on each cell's seeded worlds.
+
+    Returns one row ``(cell_idx, run, perception_mode, planner_mode, result)``
+    per episode, ordered by cell, then run, then combo.  All combos of one
+    (cell, run) pair fly the same world.
+    """
+    rows = []
+    for ci, cell in enumerate(cells):
+        for run in range(runs):
+            world_cfg = derive_run_config(cell, run, base_seed, ci, template)
+            for perception, planner in combos:
+                cfg = replace(world_cfg, perception_mode=perception, planner_mode=planner)
+                rows.append((ci, run, perception, planner, run_episode(cfg, models)))
+    return rows
+
+
+def _rate_and_mean(results) -> tuple[float, float]:
+    """(success rate, mean total energy) over episode results."""
+    return (
+        float(np.mean([r.success for r in results])),
+        float(np.mean([r.energy_J for r in results])),
+    )
+
+
+def _write_csv(items, cls, formats: dict, path) -> None:
+    """Write dataclass instances as CSV: the header is the field names and
+    each column uses its ``formats`` spec (default: plain ``format``)."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for item in items:
+            fh.write(",".join(format(getattr(item, n), formats.get(n, "")) for n in names) + "\n")
+
+
+_CELL_FORMATS = dict.fromkeys(("drone_x", "drone_y", "gate_y0", "gate_speed"), ".3f")
+_RESULT_FORMATS = dict.fromkeys(("success_rate", "mean_energy_J"), ".6f")
+
+
 @dataclass(frozen=True)
 class GridResult:
     """Per-cell, per-mode aggregate of the benchmark grid."""
@@ -414,33 +456,21 @@ def success_rate_grid(
     """Success fraction per cell for both perception modes, seeded and paired."""
     if not cells:
         raise ValueError("grid must be nonempty")
-    results = []
-    for ci, cell in enumerate(cells):
-        per_mode = {mode: [] for mode in PERCEPTION_MODES}
-        for run in range(runs):
-            world_cfg = derive_run_config(cell, run, base_seed, ci, template)
-            for mode in PERCEPTION_MODES:
-                cfg = replace(world_cfg, perception_mode=mode, planner_mode=planner_mode)
-                per_mode[mode].append(run_episode(cfg, models))
-        for mode in PERCEPTION_MODES:
-            outcomes = per_mode[mode]
-            results.append(GridResult(
-                cell.drone_x, cell.drone_y, cell.gate_y0, cell.gate_speed, mode,
-                float(np.mean([r.success for r in outcomes])),
-                float(np.mean([r.energy_J for r in outcomes])),
-            ))
-    return results
+    combos = [(mode, planner_mode) for mode in PERCEPTION_MODES]
+    rows = run_paired(cells, models, runs, base_seed, template, combos)
+    return [
+        GridResult(
+            cell.drone_x, cell.drone_y, cell.gate_y0, cell.gate_speed, mode,
+            *_rate_and_mean([res for c, _, p, _, res in rows if c == ci and p == mode]),
+        )
+        for ci, cell in enumerate(cells)
+        for mode in PERCEPTION_MODES
+    ]
 
 
 def write_grid_csv(results, path) -> None:
     """Export grid results as CSV with headers matching the field names."""
-    with open(path, "w") as fh:
-        fh.write("drone_x,drone_y,gate_y0,gate_speed,mode,success_rate,mean_energy_J\n")
-        for r in results:
-            fh.write(
-                f"{r.drone_x:.3f},{r.drone_y:.3f},{r.gate_y0:.3f},{r.gate_speed:.3f},"
-                f"{r.mode},{r.success_rate:.6f},{r.mean_energy_J:.6f}\n"
-            )
+    _write_csv(results, GridResult, {**_CELL_FORMATS, **_RESULT_FORMATS}, path)
 
 
 @dataclass(frozen=True)
@@ -466,30 +496,20 @@ def energy_comparison(
     """Run the paired energy suite (default: the 25-flight set, 10 runs each)."""
     if cells is None:
         cells = energy_suite_cells()
-    event_results, depth_results = [], []
-    for ci, cell in enumerate(cells):
-        for run in range(runs):
-            world_cfg = derive_run_config(cell, run, base_seed, ci, template)
-            event_results.append(run_episode(
-                replace(world_cfg, perception_mode="event-snn", planner_mode=planner_mode),
-                models,
-            ))
-            depth_results.append(run_episode(
-                replace(world_cfg, perception_mode="depth-baseline", planner_mode=planner_mode),
-                models,
-            ))
+    combos = [(mode, planner_mode) for mode in PERCEPTION_MODES]
+    rows = run_paired(cells, models, runs, base_seed, template, combos)
+    event, depth = ([res for _, _, p, _, res in rows if p == mode] for mode in PERCEPTION_MODES)
     surpluses = [
         d.energy_J - e.energy_J
-        for e, d in zip(event_results, depth_results)
+        for e, d in zip(event, depth)
         if not e.tracking_lost and not d.tracking_lost
     ]
+    event_rate, event_mean = _rate_and_mean(event)
+    depth_rate, depth_mean = _rate_and_mean(depth)
     return EnergyComparison(
-        float(np.mean([r.energy_J for r in event_results])),
-        float(np.mean([r.energy_J for r in depth_results])),
+        event_mean, depth_mean,
         float(np.mean(surpluses)) if surpluses else float("nan"),
-        len(surpluses),
-        float(np.mean([r.success for r in event_results])),
-        float(np.mean([r.success for r in depth_results])),
+        len(surpluses), event_rate, depth_rate,
     )
 
 
@@ -513,25 +533,14 @@ def ablation_matrix(
     """2x2 perception/planner ablation over identical seeded worlds."""
     if base_cell is None:
         base_cell = GridCell(2.0, 0.0, 2.0)
-    world_cfgs = [
-        derive_run_config(base_cell, run, base_seed, 0, template)
-        for run in range(runs)
-    ]
+    combos = [(p, q) for p in PERCEPTION_MODES for q in PLANNER_MODES]
+    rows = run_paired([base_cell], models, runs, base_seed, template, combos)
     cells = []
-    for perception in PERCEPTION_MODES:
-        for planner in PLANNER_MODES:
-            outcomes = [
-                run_episode(
-                    replace(w, perception_mode=perception, planner_mode=planner),
-                    models,
-                )
-                for w in world_cfgs
-            ]
-            cells.append(AblationCell(
-                perception, planner,
-                float(np.mean([r.energy_J for r in outcomes])),
-                float(np.mean([r.success for r in outcomes])),
-            ))
+    for perception, planner in combos:
+        rate, energy = _rate_and_mean(
+            [res for _, _, p, q, res in rows if (p, q) == (perception, planner)]
+        )
+        cells.append(AblationCell(perception, planner, energy, rate))
     return cells
 
 
@@ -544,87 +553,64 @@ def ablation_energy_ratio(cells) -> float:
 
 
 def write_ablation_csv(cells, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("perception_mode,planner_mode,mean_energy_J,success_rate\n")
-        for c in cells:
-            fh.write(
-                f"{c.perception_mode},{c.planner_mode},"
-                f"{c.mean_energy_J:.6f},{c.success_rate:.6f}\n"
-            )
+    _write_csv(cells, AblationCell, _RESULT_FORMATS, path)
 
 
 # ---------------------------------------------------------------------------
 # episode config files (INI key-value schema, see README)
 
+# keys of the [episode] section; every other EpisodeConfig field is in [world]
+_EPISODE_KEYS = (
+    "perception_mode", "planner_mode", "perception_latency",
+    "depth_noise_sigma", "drone_radius", "max_sensing_bins",
+)
+_INI_SECTIONS = {
+    "world": tuple(f.name for f in fields(EpisodeConfig) if f.name not in _EPISODE_KEYS),
+    "episode": _EPISODE_KEYS,
+}
+
 
 def load_episode_config(path) -> EpisodeConfig:
-    """Read an EpisodeConfig from an INI file with [world] and [episode] sections."""
-    parser = configparser.ConfigParser()
+    """Read an EpisodeConfig from an INI file with [world] and [episode] sections.
+
+    Omitted keys, empty values and ``default`` take the field's default.  An
+    unknown section or key, or a value that does not parse as the field's
+    type, raises ValueError naming it.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     with open(path) as fh:
-        parser.read_file(fh)
-    world = parser["world"] if parser.has_section("world") else {}
-    episode = parser["episode"] if parser.has_section("episode") else {}
-    defaults = EpisodeConfig()
-
-    def fget(section, key, default):
-        raw = section.get(key, None)
-        return default if raw in (None, "", "default") else float(raw)
-
-    latency_raw = episode.get("perception_latency", "") if episode else ""
-    latency = None if latency_raw in ("", "default") else float(latency_raw)
-    return EpisodeConfig(
-        drone_x=fget(world, "drone_x", defaults.drone_x),
-        drone_y=fget(world, "drone_y", defaults.drone_y),
-        gate_y0=fget(world, "gate_y0", defaults.gate_y0),
-        gate_speed=fget(world, "gate_speed", defaults.gate_speed),
-        gate_bound=fget(world, "gate_bound", defaults.gate_bound),
-        gate_radius=fget(world, "gate_radius", defaults.gate_radius),
-        gate_plane_x=fget(world, "gate_plane_x", defaults.gate_plane_x),
-        sensing_dt=fget(world, "sensing_dt", defaults.sensing_dt),
-        frame_dt=fget(world, "frame_dt", defaults.frame_dt),
-        event_threshold=fget(world, "event_threshold", defaults.event_threshold),
-        spurious_rate=fget(world, "spurious_rate", defaults.spurious_rate),
-        ring_thickness_px=fget(world, "ring_thickness_px", defaults.ring_thickness_px),
-        seed=int(fget(world, "seed", defaults.seed)),
-        drone_radius=fget(episode, "drone_radius", defaults.drone_radius),
-        depth_noise_sigma=fget(episode, "depth_noise_sigma", defaults.depth_noise_sigma),
-        perception_mode=episode.get("perception_mode", defaults.perception_mode),
-        planner_mode=episode.get("planner_mode", defaults.planner_mode),
-        perception_latency=latency,
-        runs_per_point=int(fget(episode, "runs_per_point", defaults.runs_per_point)),
-        max_sensing_bins=int(fget(episode, "max_sensing_bins", defaults.max_sensing_bins)),
-    )
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(str(exc)) from None
+    types = typing.get_type_hints(EpisodeConfig)
+    values = {}
+    for section in parser.sections():
+        if section not in _INI_SECTIONS:
+            raise ValueError(f"unknown section [{section}] in {path}")
+        for key, raw in parser[section].items():
+            if key not in _INI_SECTIONS[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}] of {path}")
+            if raw in ("", "default"):
+                continue
+            parse = float if types[key] == float | None else types[key]
+            try:
+                values[key] = parse(raw)
+            except ValueError:
+                raise ValueError(
+                    f"[{section}] {key} = {raw!r} is not a valid {parse.__name__}"
+                ) from None
+    return EpisodeConfig(**values)
 
 
 def write_episode_config(cfg: EpisodeConfig, path) -> None:
     """Write an EpisodeConfig in the INI schema accepted by load_episode_config."""
-    latency = "default" if cfg.perception_latency is None else repr(cfg.perception_latency)
-    text = f"""[world]
-drone_x = {cfg.drone_x!r}
-drone_y = {cfg.drone_y!r}
-gate_y0 = {cfg.gate_y0!r}
-gate_speed = {cfg.gate_speed!r}
-gate_bound = {cfg.gate_bound!r}
-gate_radius = {cfg.gate_radius!r}
-gate_plane_x = {cfg.gate_plane_x!r}
-sensing_dt = {cfg.sensing_dt!r}
-frame_dt = {cfg.frame_dt!r}
-event_threshold = {cfg.event_threshold!r}
-spurious_rate = {cfg.spurious_rate!r}
-ring_thickness_px = {cfg.ring_thickness_px!r}
-seed = {cfg.seed}
-
-[episode]
-perception_mode = {cfg.perception_mode}
-planner_mode = {cfg.planner_mode}
-perception_latency = {latency}
-depth_noise_sigma = {cfg.depth_noise_sigma!r}
-drone_radius = {cfg.drone_radius!r}
-runs_per_point = {cfg.runs_per_point}
-max_sensing_bins = {cfg.max_sensing_bins}
-"""
+    parser = configparser.ConfigParser()
+    for section, keys in _INI_SECTIONS.items():
+        values = {key: getattr(cfg, key) for key in keys}
+        parser[section] = {k: "default" if v is None else str(v) for k, v in values.items()}
     with open(path, "w") as fh:
-        fh.write(text)
+        parser.write(fh)
 
 
 def load_grid_csv(path) -> list[GridCell]:
@@ -645,10 +631,4 @@ def load_grid_csv(path) -> list[GridCell]:
 
 
 def write_grid_cells_csv(cells, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("drone_x,drone_y,gate_y0,gate_speed,alternate\n")
-        for c in cells:
-            fh.write(
-                f"{c.drone_x:.3f},{c.drone_y:.3f},{c.gate_y0:.3f},"
-                f"{c.gate_speed:.3f},{int(c.alternate)}\n"
-            )
+    _write_csv(cells, GridCell, {**_CELL_FORMATS, "alternate": "d"}, path)

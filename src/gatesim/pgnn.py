@@ -50,16 +50,6 @@ class MlpParams:
     def trainable(self) -> list:
         return [*self.weights, *self.biases, *self.bn_gamma, *self.bn_beta]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [g.copy() for g in self.bn_gamma],
-            [b.copy() for b in self.bn_beta],
-            [m.copy() for m in self.bn_mean],
-            [v.copy() for v in self.bn_var],
-        )
-
 
 def init_params(seed: int = 0, hidden_sizes=HIDDEN_SIZES) -> MlpParams:
     """He-initialized parameters; the output layer starts near zero so the

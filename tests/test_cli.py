@@ -1,3 +1,5 @@
+import pytest
+
 from gatesim.cli import main
 from gatesim.harness import EpisodeConfig, write_episode_config, write_grid_cells_csv
 from gatesim.harness import GridCell
@@ -94,3 +96,16 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
     code = main(["profile-energy", "--depth", "-4", "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("text, name", [
+    ("[world]\ngate_sped = 3.0\n", "gate_sped"),
+    ("[world]\nseed = 1.7\n", "seed"),
+])
+def test_run_rejects_bad_config(tmp_path, capsys, text, name):
+    cfg_path = tmp_path / "episode.ini"
+    cfg_path.write_text(text)
+    code = main(["run", "--config", str(cfg_path), "--epochs", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err

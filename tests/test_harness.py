@@ -1,11 +1,20 @@
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gatesim.harness import (
     DEPTH_LATENCY,
     EVENT_LATENCY,
+    PERCEPTION_MODES,
+    PLANNER_MODES,
+    AblationCell,
+    EnergyComparison,
     EpisodeConfig,
     GridCell,
+    GridResult,
     ablation_energy_ratio,
     ablation_matrix,
     crossing_success,
@@ -42,9 +51,15 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError):
             EpisodeConfig(drone_x=-3.0)
         with pytest.raises(ValueError):
-            EpisodeConfig(runs_per_point=0)
-        with pytest.raises(ValueError):
             EpisodeConfig(perception_latency=-0.1)
+
+    def test_sensing_bin_holds_whole_frames(self):
+        EpisodeConfig(sensing_dt=0.1, frame_dt=0.01)
+        EpisodeConfig(sensing_dt=0.09, frame_dt=0.03)
+        EpisodeConfig(sensing_dt=0.2, frame_dt=0.2)
+        for sensing_dt, frame_dt in [(0.1, 0.03), (0.005, 0.01), (0.0, 0.01), (0.1, 0.0)]:
+            with pytest.raises(ValueError, match="multiple of frame_dt"):
+                EpisodeConfig(sensing_dt=sensing_dt, frame_dt=frame_dt)
 
 
 class TestCrossingSuccess:
@@ -185,6 +200,75 @@ class TestSuites:
         assert ablation_energy_ratio(cells) > 1.0
 
 
+class TestSuiteOracle:
+    """Every suite field against means recomputed from single episodes."""
+
+    CELLS = [GridCell(2.0, 0.0, 2.0), GridCell(3.0, 1.0, 1.0)]
+    RUNS = 2
+
+    def _episodes(self, models, cell, ci, perception, planner="pgnn"):
+        return [
+            run_episode(replace(derive_run_config(cell, run, 0, ci),
+                                perception_mode=perception, planner_mode=planner), models)
+            for run in range(self.RUNS)
+        ]
+
+    @staticmethod
+    def _assert_same(got, want):
+        for f in fields(want):
+            expected = getattr(want, f.name)
+            if isinstance(expected, float):
+                expected = pytest.approx(expected, rel=1e-12, nan_ok=True)
+            assert getattr(got, f.name) == expected, f.name
+
+    def test_success_rate_grid(self, quick_models):
+        got = success_rate_grid(self.CELLS, quick_models, runs=self.RUNS)
+        want = []
+        for ci, cell in enumerate(self.CELLS):
+            for mode in PERCEPTION_MODES:
+                eps = self._episodes(quick_models, cell, ci, mode)
+                want.append(GridResult(
+                    cell.drone_x, cell.drone_y, cell.gate_y0, cell.gate_speed, mode,
+                    np.mean([e.success for e in eps]), np.mean([e.energy_J for e in eps]),
+                ))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            self._assert_same(g, w)
+
+    def test_energy_comparison(self, quick_models):
+        got = energy_comparison(quick_models, cells=self.CELLS, runs=self.RUNS)
+        event, depth = [], []
+        for ci, cell in enumerate(self.CELLS):
+            event += self._episodes(quick_models, cell, ci, "event-snn")
+            depth += self._episodes(quick_models, cell, ci, "depth-baseline")
+        flown = [(e, d) for e, d in zip(event, depth)
+                 if not (e.tracking_lost or d.tracking_lost)]
+        self._assert_same(got, EnergyComparison(
+            np.mean([e.energy_J for e in event]),
+            np.mean([d.energy_J for d in depth]),
+            np.mean([d.energy_J - e.energy_J for e, d in flown]) if flown else np.nan,
+            len(flown),
+            np.mean([e.success for e in event]),
+            np.mean([d.success for d in depth]),
+        ))
+
+    @pytest.mark.parametrize("cell_idx", [0, 1])
+    def test_ablation_matrix(self, quick_models, cell_idx):
+        cell = self.CELLS[cell_idx]
+        got = ablation_matrix(quick_models, base_cell=cell, runs=self.RUNS)
+        want = []
+        for perception in PERCEPTION_MODES:
+            for planner in PLANNER_MODES:
+                eps = self._episodes(quick_models, cell, 0, perception, planner)
+                want.append(AblationCell(
+                    perception, planner,
+                    np.mean([e.energy_J for e in eps]), np.mean([e.success for e in eps]),
+                ))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            self._assert_same(g, w)
+
+
 class TestCsvAndConfig:
     def test_grid_csv_deterministic(self, quick_models, tmp_path):
         cells = default_success_grid()[:2]
@@ -229,3 +313,38 @@ class TestCsvAndConfig:
         write_grid_cells_csv(cells, path)
         loaded = load_grid_csv(path)
         assert loaded == cells
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "episode.ini"
+        path.write_text(text)
+        return load_episode_config(path)
+
+    @pytest.mark.parametrize("text, name", [
+        ("[world]\ngate_sped = 3.0\n", "gate_sped"),
+        ("[episode]\nseed = 4\n", "seed"),
+        ("[world]\nperception_mode = depth-baseline\n", "perception_mode"),
+        ("[wrold]\nseed = 4\n", "wrold"),
+    ])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, name):
+        with pytest.raises(ValueError, match=name):
+            self._load(tmp_path, text)
+
+    @pytest.mark.parametrize("text", [
+        "[world]\nseed = 1.7\n",
+        "[episode]\nmax_sensing_bins = 2.5\n",
+        "[world]\ndrone_x = far\n",
+        "[world]\ndrone_x = 2%\n",
+    ])
+    def test_values_must_parse_as_field_type(self, tmp_path, text):
+        with pytest.raises(ValueError, match="is not a valid"):
+            self._load(tmp_path, text)
+
+    def test_omitted_and_default_values_take_field_defaults(self, tmp_path):
+        cfg = self._load(tmp_path, "[world]\nseed = 3\ndrone_y = default\n[episode]\n")
+        assert cfg == EpisodeConfig(seed=3)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme.split("### Episode config schema (INI)", 1)[1]
+        block = re.search(r"```ini\n(.*?)```", schema, re.S).group(1)
+        assert self._load(tmp_path, block) == EpisodeConfig()
