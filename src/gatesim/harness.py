@@ -12,8 +12,10 @@ event-vs-depth energy comparison, and the 2x2 perception/planner ablation.
 from __future__ import annotations
 
 import configparser
+import csv
+import math
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,6 +74,10 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.perception_mode not in PERCEPTION_MODES:
             raise ValueError(f"unknown perception mode {self.perception_mode!r}")
         if self.planner_mode not in PLANNER_MODES:
@@ -84,6 +90,8 @@ class EpisodeConfig:
             raise ValueError("sensing_dt must be a positive integer multiple of frame_dt")
         if self.perception_latency is not None and self.perception_latency < 0:
             raise ValueError("latency must be >= 0")
+        if self.max_sensing_bins < 1:
+            raise ValueError("max_sensing_bins must be >= 1")
 
     @property
     def latency(self) -> float:
@@ -145,21 +153,19 @@ class PlannerModels:
 
 
 def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
-    """Calibrate the energy model and train both planner variants.
+    """Calibrate the energy model and train the planner network once.
 
-    The two variants differ only in the regularization coefficient (default
-    vs zero) and share the training seed.
+    The physics penalty is evaluated at the training targets, so its
+    coefficient does not change the trained network: the pgnn and
+    vanilla-ann planners share one set of parameters.
     """
     coeffs = energy_coefficients(MotorParams())
     flight = default_flight_model(coeffs)
     samples = build_dataset(default_training_depths(), coeffs, flight)
-    pgnn_params, _ = pgnn_mod.train_pgnn(
+    params, _ = pgnn_mod.train_pgnn(
         samples, pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed)
     )
-    vanilla_params, _ = pgnn_mod.train_pgnn(
-        samples, pgnn_mod.TrainConfig(lam=0.0, epochs=epochs, seed=seed)
-    )
-    return PlannerModels(coeffs, flight, pgnn_params, vanilla_params)
+    return PlannerModels(coeffs, flight, params, params)
 
 
 def _quantize_tick(t: float, hz: float) -> float:
@@ -568,6 +574,18 @@ _INI_SECTIONS = {
     "world": tuple(f.name for f in fields(EpisodeConfig) if f.name not in _EPISODE_KEYS),
     "episode": _EPISODE_KEYS,
 }
+_BOOLS = {"1": True, "true": True, "0": False, "false": False}
+
+
+def _parse_as(kind, raw: str, what: str):
+    """Parse ``raw`` as a field annotated ``kind`` (float | None parses as
+    float, bool as 1/0/true/false in any case); a value that does not parse
+    raises ValueError naming ``what``."""
+    kind = float if kind == float | None else kind
+    try:
+        return _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{what} = {raw!r} is not a valid {kind.__name__}") from None
 
 
 def load_episode_config(path) -> EpisodeConfig:
@@ -591,15 +609,8 @@ def load_episode_config(path) -> EpisodeConfig:
         for key, raw in parser[section].items():
             if key not in _INI_SECTIONS[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}] of {path}")
-            if raw in ("", "default"):
-                continue
-            parse = float if types[key] == float | None else types[key]
-            try:
-                values[key] = parse(raw)
-            except ValueError:
-                raise ValueError(
-                    f"[{section}] {key} = {raw!r} is not a valid {parse.__name__}"
-                ) from None
+            if raw not in ("", "default"):
+                values[key] = _parse_as(types[key], raw, f"[{section}] {key}")
     return EpisodeConfig(**values)
 
 
@@ -614,19 +625,31 @@ def write_episode_config(cfg: EpisodeConfig, path) -> None:
 
 
 def load_grid_csv(path) -> list[GridCell]:
-    """Read grid cells from CSV: drone_x,drone_y,gate_y0,gate_speed,alternate."""
-    import csv
+    """Read grid cells from CSV whose header names GridCell fields.
 
-    cells = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            cells.append(GridCell(
-                float(row["drone_x"]),
-                float(row["drone_y"]),
-                float(row["gate_y0"]),
-                float(row.get("gate_speed", 0.5)),
-                row.get("alternate", "1").strip() in ("1", "true", "True"),
-            ))
+    drone_x, drone_y and gate_y0 are required; an absent gate_speed or
+    alternate column takes the field's default.  A missing or unknown column,
+    a row of the wrong length, or a value that does not parse as its field's
+    type raises ValueError naming it.
+    """
+    types = typing.get_type_hints(GridCell)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for name in header:
+            if name not in types:
+                raise ValueError(f"unknown column {name!r} in {path}")
+        for f in fields(GridCell):
+            if f.default is MISSING and f.name not in header:
+                raise ValueError(f"missing column {f.name!r} in {path}")
+        cells = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num} of {path} needs {len(header)} values")
+            cells.append(GridCell(**{
+                key: _parse_as(types[key], raw, f"line {reader.line_num}: {key}")
+                for key, raw in row.items()
+            }))
     return cells
 
 

@@ -3,8 +3,10 @@
 A depth-to-velocity regression network (hidden sizes 64/128/128, batch norm
 after each hidden layer, rectifier activations) trained with mean-square
 error plus a stationarity penalty built from each sample's energy-derivative
-coefficients.  With the regularization coefficient at zero the loss reduces
-to plain MSE (the "vanilla" ablation variant).
+coefficients.  The penalty is evaluated at the samples' target velocities,
+not at the network's predictions, so it is a constant with zero gradient:
+the regularization coefficient changes the reported loss but not the trained
+network, and lam=0 (the "vanilla" ablation variant) trains to the same bits.
 
 Everything is numpy: forward, analytic backprop (including batch-norm batch
 statistics), and an adaptive-moment optimizer, so seeded training is
@@ -138,65 +140,42 @@ def physics_term(constraints: np.ndarray, velocities: np.ndarray) -> float:
     return float(np.sum(j * constraints * powers))
 
 
-def loss_terms(
-    predictions: np.ndarray,
-    samples,
-    lam: float,
-    physics_at_prediction: bool = False,
-) -> tuple[float, float, float]:
-    """(mse, physics, total) for given predictions; pure arithmetic."""
+def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, float, float]:
+    """(mse, physics, total) for given predictions; pure arithmetic.
+
+    The physics term is evaluated at the samples' targets, so it does not
+    depend on the predictions.
+    """
     _, targets, constraints = _sample_arrays(samples)
     predictions = np.asarray(predictions, dtype=float)
     mse = float(np.mean((targets - predictions) ** 2))
-    at = predictions if physics_at_prediction else targets
-    phys = physics_term(constraints, at)
+    phys = physics_term(constraints, targets)
     return mse, phys, mse + lam * phys
 
 
-def pgnn_loss(
-    params: MlpParams,
-    samples,
-    lam: float,
-    mode: str = "train",
-    physics_at_prediction: bool = False,
-) -> float:
+def pgnn_loss(params: MlpParams, samples, lam: float, mode: str = "train") -> float:
     """Mean-square velocity error plus lam times the stationarity penalty.
 
-    By default the penalty is evaluated at each sample's ground-truth
-    velocity (the dataset's per-row constraint); set
-    ``physics_at_prediction`` to penalize the network's own output instead.
+    The penalty is evaluated at each sample's ground-truth velocity (the
+    dataset's per-row constraint), so lam shifts the loss by a constant and
+    leaves its gradient, and the trained network, unchanged.
     """
     depths, _, _ = _sample_arrays(samples)
     v, _ = _forward(params, depths, mode)
-    return loss_terms(v, samples, lam, physics_at_prediction)[2]
+    return loss_terms(v, samples, lam)[2]
 
 
-def pgnn_loss_grads(
-    params: MlpParams,
-    samples,
-    lam: float,
-    mode: str = "train",
-    physics_at_prediction: bool = False,
-):
+def pgnn_loss_grads(params: MlpParams, samples, lam: float, mode: str = "train"):
     """Loss and analytic gradients for every trainable array.
 
     Returns (loss, grads, batch_stats) with grads ordered like
     params.trainable() and batch_stats the per-layer (mean, var) pairs seen
     during the pass (used to update running statistics).
     """
-    depths, targets, constraints = _sample_arrays(samples)
-    n = len(depths)
+    depths, targets, _ = _sample_arrays(samples)
     v, caches = _forward(params, depths, mode)
-    mse = float(np.mean((targets - v) ** 2))
-    at = v if physics_at_prediction else targets
-    phys = physics_term(constraints, at)
-    loss = mse + lam * phys
-
-    dv = 2.0 * (v - targets) / n
-    if physics_at_prediction:
-        j = np.arange(1, 6)
-        dphys = np.sum(j * (j - 1) * constraints * v[:, None] ** (j - 2), axis=1)
-        dv = dv + lam * dphys
+    loss = loss_terms(v, samples, lam)[2]
+    dv = 2.0 * (v - targets) / len(depths)
 
     out_cache = caches[-1]
     s = out_cache["s"].ravel()
@@ -237,15 +216,17 @@ def pgnn_loss_grads(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; the defaults train the physics-regularized
-    variant and lam=0 gives the vanilla ablation."""
+    """Training hyperparameters.
+
+    ``lam`` scales the reported physics term only: the penalty is constant
+    in the parameters, so any lam >= 0 trains the same network.
+    """
 
     lam: float = 1e-4
     epochs: int = 2000
     learning_rate: float = 1e-3
     batch_size: int | None = None  # None -> full dataset
     seed: int = 0
-    physics_at_prediction: bool = False
     bn_momentum: float = 0.9
 
     def __post_init__(self):
@@ -279,9 +260,7 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig()):
         order = np.arange(n) if batch == n else rng.permutation(n)
         for start in range(0, n, batch):
             chunk = [samples[i] for i in order[start:start + batch]]
-            loss, grads, batch_stats = pgnn_loss_grads(
-                params, chunk, config.lam, "train", config.physics_at_prediction
-            )
+            loss, grads, batch_stats = pgnn_loss_grads(params, chunk, config.lam, "train")
             if not np.isfinite(loss):
                 raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
             step += 1
@@ -298,10 +277,7 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig()):
                 params.bn_var[i] = mom * params.bn_var[i] + (1 - mom) * var
 
         preds, _ = _forward(params, np.array([s.depth for s in samples]), "infer")
-        mse, phys, total = loss_terms(
-            preds, samples, config.lam, config.physics_at_prediction
-        )
-        history.append((epoch, mse, phys, total))
+        history.append((epoch, *loss_terms(preds, samples, config.lam)))
 
     return params, history
 
@@ -330,38 +306,32 @@ def predict(params: MlpParams, depth: float) -> PgnnOutput:
     return PgnnOutput(v, trajectory_time(v, float(depth)), float(depth))
 
 
+# npz key prefix of each MlpParams list, in file order
+_NPZ_PREFIXES = {
+    "weights": "w", "biases": "b", "bn_gamma": "g",
+    "bn_beta": "s", "bn_mean": "rm", "bn_var": "rv",
+}
+
+
 def save_params(params: MlpParams, path) -> None:
     """Persist parameters as a flat npz: w0..w3, b0..b3, g0..g2, s0..s2,
     rm0..rm2 (running means), rv0..rv2 (running variances)."""
-    arrays = {}
-    for i, w in enumerate(params.weights):
-        arrays[f"w{i}"] = w
-    for i, b in enumerate(params.biases):
-        arrays[f"b{i}"] = b
-    for i, g in enumerate(params.bn_gamma):
-        arrays[f"g{i}"] = g
-    for i, s in enumerate(params.bn_beta):
-        arrays[f"s{i}"] = s
-    for i, m in enumerate(params.bn_mean):
-        arrays[f"rm{i}"] = m
-    for i, v in enumerate(params.bn_var):
-        arrays[f"rv{i}"] = v
-    np.savez(path, **arrays)
+    np.savez(path, **{
+        f"{prefix}{i}": arr
+        for name, prefix in _NPZ_PREFIXES.items()
+        for i, arr in enumerate(getattr(params, name))
+    })
 
 
 def load_params(path) -> MlpParams:
     """Load parameters written by save_params."""
     data = np.load(path)
-    n_layers = sum(1 for k in data.files if k.startswith("w"))
-    n_hidden = sum(1 for k in data.files if k.startswith("g"))
-    return MlpParams(
-        [data[f"w{i}"] for i in range(n_layers)],
-        [data[f"b{i}"] for i in range(n_layers)],
-        [data[f"g{i}"] for i in range(n_hidden)],
-        [data[f"s{i}"] for i in range(n_hidden)],
-        [data[f"rm{i}"] for i in range(n_hidden)],
-        [data[f"rv{i}"] for i in range(n_hidden)],
-    )
+    params = MlpParams()
+    for name, prefix in _NPZ_PREFIXES.items():
+        arrays = getattr(params, name)
+        while f"{prefix}{len(arrays)}" in data.files:
+            arrays.append(data[f"{prefix}{len(arrays)}"])
+    return params
 
 
 def write_loss_curve_csv(history, path) -> None:

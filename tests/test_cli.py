@@ -101,6 +101,7 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize("text, name", [
     ("[world]\ngate_sped = 3.0\n", "gate_sped"),
     ("[world]\nseed = 1.7\n", "seed"),
+    ("[world]\ndrone_x = nan\n", "drone_x"),
 ])
 def test_run_rejects_bad_config(tmp_path, capsys, text, name):
     cfg_path = tmp_path / "episode.ini"
@@ -109,3 +110,12 @@ def test_run_rejects_bad_config(tmp_path, capsys, text, name):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_benchmark_rejects_bad_grid(tmp_path, capsys):
+    grid_path = tmp_path / "bad.csv"
+    grid_path.write_text("drone_x,drone_y\n2,0\n")
+    code = main(["benchmark", "--grid", str(grid_path), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gate_y0" in err

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatesim import harness, pgnn
 from gatesim.harness import (
     DEPTH_LATENCY,
     EVENT_LATENCY,
@@ -17,6 +18,7 @@ from gatesim.harness import (
     GridResult,
     ablation_energy_ratio,
     ablation_matrix,
+    build_default_models,
     crossing_success,
     default_success_grid,
     derive_run_config,
@@ -60,6 +62,33 @@ class TestEpisodeConfig:
         for sensing_dt, frame_dt in [(0.1, 0.03), (0.005, 0.01), (0.0, 0.01), (0.1, 0.0)]:
             with pytest.raises(ValueError, match="multiple of frame_dt"):
                 EpisodeConfig(sensing_dt=sensing_dt, frame_dt=frame_dt)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_rejected(self, value):
+        floats = [f.name for f in fields(EpisodeConfig) if isinstance(f.default, float)]
+        for name in [*floats, "perception_latency"]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                EpisodeConfig(**{name: value})
+
+    def test_sensing_bin_budget_at_least_one(self):
+        EpisodeConfig(max_sensing_bins=1)
+        with pytest.raises(ValueError, match="max_sensing_bins"):
+            EpisodeConfig(max_sensing_bins=0)
+
+
+def test_build_default_models_trains_once(monkeypatch):
+    calls, train = [], pgnn.train_pgnn
+
+    def counting(samples, config):
+        calls.append(config)
+        return train(samples, config)
+
+    monkeypatch.setattr(harness.pgnn_mod, "train_pgnn", counting)
+    models = build_default_models(epochs=2)
+    assert len(calls) == 1
+    assert models.vanilla_params is models.pgnn_params
+    for mode in PLANNER_MODES:
+        assert models.planner_params(mode) is models.pgnn_params
 
 
 class TestCrossingSuccess:
@@ -313,6 +342,38 @@ class TestCsvAndConfig:
         write_grid_cells_csv(cells, path)
         loaded = load_grid_csv(path)
         assert loaded == cells
+
+    def _grid(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        return load_grid_csv(path)
+
+    def test_grid_csv_optional_columns_and_alternate_values(self, tmp_path):
+        cells = self._grid(tmp_path, "drone_x,drone_y,gate_y0\n2,0,2\n")
+        assert cells == [GridCell(2.0, 0.0, 2.0)]
+        text = "drone_x,drone_y,gate_y0,alternate\n" + "".join(
+            f"2,0,2,{v}\n" for v in ("1", "TRUE", "true", "0", "False", " false ")
+        )
+        alternates = [c.alternate for c in self._grid(tmp_path, text)]
+        assert alternates == [True, True, True, False, False, False]
+
+    @pytest.mark.parametrize("text, name", [
+        ("drone_x,drone_y\n2,0\n", "missing column 'gate_y0'"),
+        ("drone_x,gate_y0,gate_speed\n2,2,0.5\n", "missing column 'drone_y'"),
+        ("drone_x,drone_y,gate_y0,gate_sped\n2,0,2,0.5\n", "unknown column 'gate_sped'"),
+        ("drone_x,drone_y,gate_y0,alternate\n2,0,2,yes\n", "alternate = 'yes'"),
+        ("drone_x,drone_y,gate_y0\n2,0,far\n", "gate_y0 = 'far'"),
+        ("drone_x,drone_y,gate_y0\n2,0\n", "line 2"),
+        ("drone_x,drone_y,gate_y0\n2,0,2,1\n", "line 2"),
+        ("", "missing column 'drone_x'"),
+    ])
+    def test_bad_grid_csv_rejected(self, tmp_path, text, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            self._grid(tmp_path, text)
+
+    def test_non_finite_ini_value_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="drone_x must be finite"):
+            self._load(tmp_path, "[world]\ndrone_x = nan\n")
 
     def _load(self, tmp_path, text):
         path = tmp_path / "episode.ini"

@@ -111,13 +111,6 @@ class TestLoss:
         with pytest.raises(EmptyDataset):
             pgnn_loss(init_params(0), [], 0.0)
 
-    def test_physics_at_prediction_toggle(self):
-        params = init_params(3)
-        samples = toy_samples()
-        base = pgnn_loss(params, samples, 0.5, physics_at_prediction=False)
-        alt = pgnn_loss(params, samples, 0.5, physics_at_prediction=True)
-        assert base != alt
-
 
 def relative_error(a, b, floor=1e-5):
     # central differences of a float64 loss cannot resolve gradients below
@@ -126,14 +119,11 @@ def relative_error(a, b, floor=1e-5):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("physics_at_prediction", [False, True])
-    def test_matches_finite_differences(self, dataset, physics_at_prediction):
+    def test_matches_finite_differences(self, dataset):
         params = init_params(0)
         samples = dataset[:10]
         depths = np.array([s.depth for s in samples])
-        _, grads, _ = pgnn_loss_grads(
-            params, samples, 1e-2, "train", physics_at_prediction
-        )
+        _, grads, _ = pgnn_loss_grads(params, samples, 1e-2, "train")
         arrays = params.trainable()
         rng = np.random.default_rng(4)
         eps = 1e-5
@@ -141,7 +131,7 @@ class TestGradients:
         def loss_and_pattern():
             v, caches = pgnn._forward(params, depths, "train")
             pattern = [c["y"] > 0 for c in caches[:-1]]
-            total = loss_terms(v, samples, 1e-2, physics_at_prediction)[2]
+            total = loss_terms(v, samples, 1e-2)[2]
             return total, pattern
 
         analytic, numeric = [], []
@@ -195,6 +185,22 @@ class TestTraining:
         with pytest.raises(DivergenceDetected):
             train_pgnn(poisoned, TrainConfig(epochs=2))
 
+    def test_lambda_does_not_change_the_trained_network(self, dataset):
+        # The physics term is evaluated at the targets, so it has no gradient
+        # and every lam trains the same bits; build_default_models relies on
+        # this to share one training between the pgnn and vanilla-ann
+        # planners.  If this fails, the planners need separate trainings.
+        trained = [
+            train_pgnn(dataset, TrainConfig(lam=lam, epochs=50))[0]
+            for lam in (0.0, 1e-4, 1.0)
+        ]
+        for other in trained[1:]:
+            for a, b in zip(
+                trained[0].trainable() + trained[0].bn_mean + trained[0].bn_var,
+                other.trainable() + other.bn_mean + other.bn_var,
+            ):
+                assert np.array_equal(a, b)
+
     def test_minibatch_mode_runs(self, dataset):
         params, history = train_pgnn(
             dataset, TrainConfig(epochs=20, batch_size=8, seed=1)
@@ -226,6 +232,11 @@ def test_params_roundtrip(tmp_path, dataset):
     params, history = train_pgnn(dataset, TrainConfig(epochs=10))
     path = tmp_path / "params.npz"
     save_params(params, path)
+    assert np.load(path).files == [
+        f"{prefix}{i}"
+        for prefix, n in (("w", 4), ("b", 4), ("g", 3), ("s", 3), ("rm", 3), ("rv", 3))
+        for i in range(n)
+    ]
     loaded = load_params(path)
     for a, b in zip(params.trainable(), loaded.trainable()):
         assert np.array_equal(a, b)
