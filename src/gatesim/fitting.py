@@ -9,11 +9,11 @@ velocity-prediction network.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
 from .errors import DegenerateDesignMatrix, InsufficientSamples
 from .motor import EnergyCoefficients, FlightModel, energy_velocity_profile
 
@@ -148,22 +148,17 @@ def default_training_depths() -> np.ndarray:
     return np.round(np.arange(2.0, 6.0 + 1e-9, 0.2), 10)
 
 
+_DATASET_COLUMNS = {"depth": ".6f", "v_star": ".9f", **{f"k{j}": ".12e" for j in range(1, 6)}}
+
+
 def write_dataset_csv(samples, path) -> None:
     """Export training samples as CSV: depth,v_star,k1,k2,k3,k4,k5."""
-    with open(path, "w") as fh:
-        fh.write("depth,v_star,k1,k2,k3,k4,k5\n")
-        for s in samples:
-            ks = ",".join(f"{k:.12e}" for k in s.constraint)
-            fh.write(f"{s.depth:.6f},{s.v_star:.9f},{ks}\n")
+    write_csv(path, _DATASET_COLUMNS, ((s.depth, s.v_star, *s.constraint) for s in samples))
 
 
 def read_dataset_csv(path) -> list[TrainingSample]:
-    """Load training samples written by write_dataset_csv."""
-    samples = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            constraint = np.array([float(row[f"k{j}"]) for j in range(1, 6)])
-            samples.append(
-                TrainingSample(float(row["depth"]), float(row["v_star"]), constraint)
-            )
-    return samples
+    """Load training samples written by write_dataset_csv; a missing or
+    unknown column, a short row or a non-number raises ValueError naming it."""
+    rows = read_csv(path, dict.fromkeys(_DATASET_COLUMNS, float))
+    return [TrainingSample(r["depth"], r["v_star"], np.array([r[f"k{j}"] for j in range(1, 6)]))
+            for r in rows]

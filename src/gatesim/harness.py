@@ -12,14 +12,14 @@ event-vs-depth energy comparison, and the 2x2 perception/planner ablation.
 from __future__ import annotations
 
 import configparser
-import csv
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import pgnn as pgnn_mod
+from .csvio import parse_as, read_csv, write_csv
 from .fitting import build_dataset, default_training_depths
 from .motor import (
     EnergyCoefficients,
@@ -28,6 +28,7 @@ from .motor import (
     default_flight_model,
     energy_coefficients,
     motor_power,
+    rotor_speeds,
     trajectory_energy,
     FlightModel,
 )
@@ -92,6 +93,7 @@ class EpisodeConfig:
             raise ValueError("latency must be >= 0")
         if self.max_sensing_bins < 1:
             raise ValueError("max_sensing_bins must be >= 1")
+        self.world()  # GateState and WorldConfig check the gate and ring settings
 
     @property
     def latency(self) -> float:
@@ -168,10 +170,6 @@ def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
     return PlannerModels(coeffs, flight, params, params)
 
 
-def _quantize_tick(t: float, hz: float) -> float:
-    return np.floor(t * hz + 1e-9) / hz
-
-
 def _perceive_events(cfg: EpisodeConfig, models: PlannerModels):
     """Run the spiking tracker until two tracks exist.
 
@@ -218,27 +216,16 @@ def _perceive_events(cfg: EpisodeConfig, models: PlannerModels):
 def _perceive_depth(cfg: EpisodeConfig, rng: np.random.Generator):
     """Ground-truth gate positions sampled at the depth tracker's update rate.
 
-    Measurements are taken one sensing interval apart; the window still spans
-    two sensing bins of wall-clock hover.
+    The first measurement is at time 0, the second one sensing interval
+    later, rounded down to a tracker tick but at least one tick; the window
+    still spans two sensing bins of wall-clock hover.
     """
     gate = cfg.gate()
-    t1 = _quantize_tick(0.0, DEPTH_TRACKER_HZ)
-    t2 = _quantize_tick(cfg.sensing_dt, DEPTH_TRACKER_HZ)
-    if t2 <= t1:
-        t2 = t1 + 1.0 / DEPTH_TRACKER_HZ
-    y1 = step_gate(gate, t1).y if t1 > 0 else gate.y
-    y2 = step_gate(gate, t2).y
+    dt_meas = max(np.floor(cfg.sensing_dt * DEPTH_TRACKER_HZ + 1e-9), 1.0) / DEPTH_TRACKER_HZ
     depth_meas = cfg.depth
     if cfg.depth_noise_sigma > 0:
         depth_meas += cfg.depth_noise_sigma * rng.standard_normal()
-    return (y1, y2, t2 - t1, depth_meas), 2.0 * cfg.sensing_dt
-
-
-def _flight_rotor_speeds(fm: FlightModel, speeds: np.ndarray) -> np.ndarray:
-    """Steady-flight rotor speed per sample, saturated at the motor limit."""
-    drag_accel = fm.drag_coeff * speeds**2 / fm.mass
-    ratio = np.hypot(fm.gravity, drag_accel) / fm.gravity
-    return np.minimum(fm.hover_speed * np.sqrt(ratio), fm.omega_max)
+    return (gate.y, step_gate(gate, dt_meas).y, dt_meas, depth_meas), 2.0 * cfg.sensing_dt
 
 
 def crossing_success(miss_distance: float, gate_radius: float, drone_radius: float) -> bool:
@@ -299,7 +286,7 @@ def run_episode(
         write_trajectory_csv(traj, trajectory_out)
     _, _, vel, _ = sample_arrays(traj)
     speeds = np.hypot(vel[:, 0], vel[:, 1])
-    omegas = _flight_rotor_speeds(models.flight, speeds)
+    omegas = np.minimum(rotor_speeds(models.flight, speeds), models.flight.omega_max)
     profile = RotorSpeedProfile(
         np.repeat(omegas[:, None], 4, axis=1), FLIGHT_SAMPLE_DT,
         models.flight.omega_max,
@@ -406,6 +393,8 @@ def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,
     per episode, ordered by cell, then run, then combo.  All combos of one
     (cell, run) pair fly the same world.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     rows = []
     for ci, cell in enumerate(cells):
         for run in range(runs):
@@ -427,11 +416,7 @@ def _rate_and_mean(results) -> tuple[float, float]:
 def _write_csv(items, cls, formats: dict, path) -> None:
     """Write dataclass instances as CSV: the header is the field names and
     each column uses its ``formats`` spec (default: plain ``format``)."""
-    names = [f.name for f in fields(cls)]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for item in items:
-            fh.write(",".join(format(getattr(item, n), formats.get(n, "")) for n in names) + "\n")
+    write_csv(path, {f.name: formats.get(f.name, "") for f in fields(cls)}, map(astuple, items))
 
 
 _CELL_FORMATS = dict.fromkeys(("drone_x", "drone_y", "gate_y0", "gate_speed"), ".3f")
@@ -574,18 +559,6 @@ _INI_SECTIONS = {
     "world": tuple(f.name for f in fields(EpisodeConfig) if f.name not in _EPISODE_KEYS),
     "episode": _EPISODE_KEYS,
 }
-_BOOLS = {"1": True, "true": True, "0": False, "false": False}
-
-
-def _parse_as(kind, raw: str, what: str):
-    """Parse ``raw`` as a field annotated ``kind`` (float | None parses as
-    float, bool as 1/0/true/false in any case); a value that does not parse
-    raises ValueError naming ``what``."""
-    kind = float if kind == float | None else kind
-    try:
-        return _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
-        raise ValueError(f"{what} = {raw!r} is not a valid {kind.__name__}") from None
 
 
 def load_episode_config(path) -> EpisodeConfig:
@@ -610,7 +583,7 @@ def load_episode_config(path) -> EpisodeConfig:
             if key not in _INI_SECTIONS[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}] of {path}")
             if raw not in ("", "default"):
-                values[key] = _parse_as(types[key], raw, f"[{section}] {key}")
+                values[key] = parse_as(types[key], raw, f"[{section}] {key}")
     return EpisodeConfig(**values)
 
 
@@ -628,29 +601,12 @@ def load_grid_csv(path) -> list[GridCell]:
     """Read grid cells from CSV whose header names GridCell fields.
 
     drone_x, drone_y and gate_y0 are required; an absent gate_speed or
-    alternate column takes the field's default.  A missing or unknown column,
-    a row of the wrong length, or a value that does not parse as its field's
-    type raises ValueError naming it.
+    alternate column takes the field's default.  A missing, unknown or
+    duplicate column, a row of the wrong length, or a value that does not
+    parse as its field's type raises ValueError naming it.
     """
-    types = typing.get_type_hints(GridCell)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in header:
-            if name not in types:
-                raise ValueError(f"unknown column {name!r} in {path}")
-        for f in fields(GridCell):
-            if f.default is MISSING and f.name not in header:
-                raise ValueError(f"missing column {f.name!r} in {path}")
-        cells = []
-        for row in reader:
-            if None in row or None in row.values():
-                raise ValueError(f"line {reader.line_num} of {path} needs {len(header)} values")
-            cells.append(GridCell(**{
-                key: _parse_as(types[key], raw, f"line {reader.line_num}: {key}")
-                for key, raw in row.items()
-            }))
-    return cells
+    optional = [f.name for f in fields(GridCell) if f.default is not MISSING]
+    return [GridCell(**row) for row in read_csv(path, typing.get_type_hints(GridCell), optional)]
 
 
 def write_grid_cells_csv(cells, path) -> None:

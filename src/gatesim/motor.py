@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from .csvio import write_csv
 from .errors import (
     BladeClearanceExceedsRadius,
     EmptyProfile,
@@ -25,6 +26,8 @@ from .errors import (
 )
 
 RPM_TO_RAD = 2.0 * np.pi / 60.0
+
+OMEGA_MAX = 7994.0 * RPM_TO_RAD  # motor speed limit [rad/s]
 
 #: Total instantaneous power of the calibrated hover configuration [W].
 HOVER_POWER_W = 124.0
@@ -39,7 +42,7 @@ class MotorParams:
 
     resistance: float = 0.3            # winding resistance [ohm]
     supply_voltage: float = 15.0       # [V]
-    omega_max: float = 7994.0 * RPM_TO_RAD  # [rad/s]
+    omega_max: float = OMEGA_MAX       # [rad/s]
     friction_torque: float = 0.0187    # static motor friction [N*m]
     load_torque_coeff: float = 9.04969e-09  # [N*m*s^2/rad^2]
     damping: float = 2e-04             # viscous damping [N*m*s/rad]
@@ -141,7 +144,7 @@ class RotorSpeedProfile:
 
     omegas: np.ndarray
     dt: float
-    omega_max: float = 7994.0 * RPM_TO_RAD
+    omega_max: float = OMEGA_MAX
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
@@ -173,7 +176,7 @@ def trajectory_energy(c: EnergyCoefficients, profile: RotorSpeedProfile) -> floa
 def hover_rotor_speed(
     c: EnergyCoefficients,
     total_power: float = HOVER_POWER_W,
-    omega_max: float = 7994.0 * RPM_TO_RAD,
+    omega_max: float = OMEGA_MAX,
 ) -> float:
     """Rotor speed at which the 4 motors together dissipate ``total_power``.
 
@@ -201,7 +204,7 @@ class FlightModel:
     gravity: float = 9.81       # [m/s^2]
     drag_coeff: float = 0.05    # body drag [N*s^2/m^2]
     hover_speed: float = 0.0    # rotor speed at hover [rad/s]
-    omega_max: float = 7994.0 * RPM_TO_RAD
+    omega_max: float = OMEGA_MAX
 
     def __post_init__(self):
         if self.mass <= 0 or self.gravity <= 0 or self.hover_speed < 0:
@@ -216,26 +219,29 @@ def default_flight_model(
     mass: float = 0.5,
     gravity: float = 9.81,
     drag_coeff: float = 0.05,
-    omega_max: float = 7994.0 * RPM_TO_RAD,
+    omega_max: float = OMEGA_MAX,
 ) -> FlightModel:
     """Flight model with the hover rotor speed calibrated to ``hover_power``."""
     omega_h = hover_rotor_speed(c, hover_power, omega_max)
     return FlightModel(mass, gravity, drag_coeff, omega_h, omega_max)
 
 
-def rotor_speed_for_velocity(fm: FlightModel, v: float) -> float:
-    """Steady-flight rotor speed [rad/s] at airspeed v [m/s].
+def rotor_speeds(fm: FlightModel, speeds):
+    """Steady-flight rotor speed [rad/s] at each airspeed [m/s], not clipped
+    to the motor limit; omega(0) is the hover speed."""
+    drag_accel = fm.drag_coeff * np.asarray(speeds, dtype=float)**2 / fm.mass
+    return fm.hover_speed * np.sqrt(np.hypot(fm.gravity, drag_accel) / fm.gravity)
 
-    Monotone nondecreasing in v with omega(0) equal to the hover speed.
-    """
+
+def rotor_speed_for_velocity(fm: FlightModel, v: float) -> float:
+    """rotor_speeds at one airspeed v >= 0, raising ExceedsMaxRotorSpeed
+    above the motor limit."""
     if v < 0:
         raise ValueError("airspeed must be >= 0")
-    drag_accel = fm.drag_coeff * v * v / fm.mass
-    thrust_ratio = np.hypot(fm.gravity, drag_accel) / fm.gravity
-    omega = fm.hover_speed * np.sqrt(thrust_ratio)
+    omega = float(rotor_speeds(fm, v))
     if omega > fm.omega_max:
         raise ExceedsMaxRotorSpeed(f"omega({v}) = {omega:.1f} rad/s exceeds the motor limit")
-    return float(omega)
+    return omega
 
 
 def energy_velocity_profile(
@@ -248,7 +254,8 @@ def energy_velocity_profile(
 
     Flight time is depth / v and the energy is time * 4-motor steady power
     (acceleration transients excluded).  Returns an (n, 2) array of
-    (velocity, energy) rows.
+    (velocity, energy) rows.  Raises ExceedsMaxRotorSpeed naming the first
+    grid speed whose rotor speed exceeds the motor limit.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -257,20 +264,18 @@ def energy_velocity_profile(
     v_grid = np.asarray(v_grid, dtype=float)
     if np.any(v_grid < 1.0) or np.any(v_grid > 16.0):
         raise ValueError("velocity grid must lie within [1, 16] m/s")
-    energies = [
-        (depth / v) * 4.0 * motor_power(c, rotor_speed_for_velocity(fm, v))
-        for v in v_grid
-    ]
-    return np.column_stack([v_grid, energies])
+    omegas = rotor_speeds(fm, v_grid)
+    over = np.flatnonzero(omegas > fm.omega_max)
+    if over.size:
+        v, omega = v_grid[over[0]], omegas[over[0]]
+        raise ExceedsMaxRotorSpeed(f"omega({v}) = {omega:.1f} rad/s exceeds the motor limit")
+    return np.column_stack([v_grid, depth / v_grid * 4.0 * motor_power(c, omegas)])
 
 
 def write_profile_csv(profiles: dict[float, np.ndarray], path) -> None:
     """Export energy-velocity profiles as CSV: depth,v,energy_J."""
-    with open(path, "w") as fh:
-        fh.write("depth,v,energy_J\n")
-        for depth in sorted(profiles):
-            for v, e in profiles[depth]:
-                fh.write(f"{depth:.6f},{v:.6f},{e:.6f}\n")
+    rows = ((depth, v, e) for depth in sorted(profiles) for v, e in profiles[depth])
+    write_csv(path, dict.fromkeys(("depth", "v", "energy_J"), ".6f"), rows)
 
 
 def calibration_report(c: EnergyCoefficients, fm: FlightModel) -> str:

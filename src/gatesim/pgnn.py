@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import (
     DivergenceDetected,
     EmptyDataset,
@@ -336,7 +337,5 @@ def load_params(path) -> MlpParams:
 
 def write_loss_curve_csv(history, path) -> None:
     """Export the loss history as CSV: epoch,mse,physics_term,total."""
-    with open(path, "w") as fh:
-        fh.write("epoch,mse,physics_term,total\n")
-        for epoch, mse, phys, total in history:
-            fh.write(f"{epoch},{mse:.12e},{phys:.12e},{total:.12e}\n")
+    columns = {"epoch": "", **dict.fromkeys(("mse", "physics_term", "total"), ".12e")}
+    write_csv(path, columns, history)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import NonPositiveDuration, OutOfDomain
 from .scene import GateState, step_gate
 
@@ -184,11 +185,5 @@ def write_trajectory_csv(traj: MinJerkTrajectory, path) -> None:
     if traj.start.shape != (2,):
         raise ValueError("trajectory export expects exactly 2 axes (x, y)")
     times, pos, vel, acc = sample_arrays(traj)
-    with open(path, "w") as fh:
-        fh.write("t,x,y,vx,vy,ax,ay\n")
-        for i, t in enumerate(times):
-            fh.write(
-                f"{t:.6f},{pos[i, 0]:.9f},{pos[i, 1]:.9f},"
-                f"{vel[i, 0]:.9f},{vel[i, 1]:.9f},"
-                f"{acc[i, 0]:.9f},{acc[i, 1]:.9f}\n"
-            )
+    columns = {"t": ".6f", **dict.fromkeys(("x", "y", "vx", "vy", "ax", "ay"), ".9f")}
+    write_csv(path, columns, np.column_stack([times, pos, vel, acc]))

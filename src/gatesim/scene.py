@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import NonPositiveDepth
 
 # One event per row: timestamp [s], pixel column, pixel row, polarity {+1, -1}.
@@ -115,34 +116,12 @@ def gate_depth(camera: CameraModel, gate: GateState) -> float:
     return float(rel @ np.asarray(camera.forward))
 
 
-def annulus_coverage(
-    camera: CameraModel,
-    gate: GateState,
-    thickness_px: float = 2.0,
-) -> np.ndarray:
-    """Anti-aliased coverage (0..1) of the projected hoop annulus, per pixel.
-
-    Coverage is 1 inside the band |rho - r| <= thickness/2 around the
-    projected ring radius and falls off linearly over one pixel outside it.
-    """
-    px, py = project_to_pixels(camera, (gate.plane_x, gate.y, 0.0))
-    depth = gate_depth(camera, gate)
-    r_px = camera.focal_px * gate.radius / depth
-    half = thickness_px / 2.0
-
-    cov = np.zeros(camera.shape, dtype=np.float64)
-    margin = r_px + half + 1.0
-    x0 = max(int(np.floor(px - margin)), 0)
-    x1 = min(int(np.ceil(px + margin)) + 1, camera.width)
-    y0 = max(int(np.floor(py - margin)), 0)
-    y1 = min(int(np.ceil(py + margin)) + 1, camera.height)
-    if x0 >= x1 or y0 >= y1:
-        return cov
-
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    rho = np.hypot(xs - px, ys - py)
-    cov[y0:y1, x0:x1] = np.clip(half + 0.5 - np.abs(rho - r_px), 0.0, 1.0)
-    return cov
+def _check_ring(threshold: float, thickness_px: float) -> None:
+    """Require a coverage threshold in (0, 1] and a positive ring thickness."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"event_threshold must be in (0, 1], got {threshold}")
+    if not thickness_px > 0.0:
+        raise ValueError(f"ring_thickness_px must be positive, got {thickness_px}")
 
 
 def annulus_mask(
@@ -153,10 +132,30 @@ def annulus_mask(
 ) -> np.ndarray:
     """Boolean per-pixel mask of the rasterized annulus.
 
-    ``threshold`` is the coverage fraction at which a pixel counts as covered;
-    0.5 reproduces the crisp 2-pixel band.
+    A pixel is covered when its anti-aliased coverage, 1 inside the band
+    |rho - r| <= thickness/2 around the projected ring radius and falling off
+    linearly over one pixel outside it, reaches ``threshold`` in (0, 1]; 0.5
+    reproduces the crisp 2-pixel band.
     """
-    return annulus_coverage(camera, gate, thickness_px) >= threshold
+    _check_ring(threshold, thickness_px)
+    px, py = project_to_pixels(camera, (gate.plane_x, gate.y, 0.0))
+    r_px = camera.focal_px * gate.radius / gate_depth(camera, gate)
+    half = thickness_px / 2.0
+
+    mask = np.zeros(camera.shape, dtype=bool)
+    margin = r_px + half + 1.0
+    x0 = max(int(np.floor(px - margin)), 0)
+    x1 = min(int(np.ceil(px + margin)) + 1, camera.width)
+    y0 = max(int(np.floor(py - margin)), 0)
+    y1 = min(int(np.ceil(py + margin)) + 1, camera.height)
+    if x0 >= x1 or y0 >= y1:
+        return mask
+
+    ys, xs = np.ogrid[y0:y1, x0:x1]
+    rho = np.hypot(xs - px, ys - py)
+    # for a threshold in (0, 1], clipping the coverage to [0, 1] changes no pixel
+    mask[y0:y1, x0:x1] = half + 0.5 - np.abs(rho - r_px) >= threshold
+    return mask
 
 
 def annulus_bbox(
@@ -213,10 +212,7 @@ def events_to_frame(events: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def write_events_csv(events: np.ndarray, path) -> None:
     """Export an event stream as CSV with header t,x,y,p (t to microseconds)."""
-    with open(path, "w") as fh:
-        fh.write("t,x,y,p\n")
-        for ev in events:
-            fh.write(f"{ev['t']:.6f},{ev['x']},{ev['y']},{ev['p']}\n")
+    write_csv(path, {"t": ".6f", "x": "", "y": "", "p": ""}, events.tolist())
 
 
 @dataclass(frozen=True)
@@ -243,6 +239,7 @@ class WorldConfig:
             raise ValueError("sensing_dt must be positive")
         if self.frame_dt <= 0:
             raise ValueError("frame_dt must be positive")
+        _check_ring(self.event_threshold, self.ring_thickness_px)
 
     def camera(self) -> CameraModel:
         return CameraModel(position=(self.drone_x, self.drone_y, 0.0))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from .csvio import write_csv
 from .errors import DimensionMismatch, InvalidExtents, NonPositiveDepth, ZeroInterval
 from .scene import CameraModel, events_to_frame
 
@@ -196,9 +197,5 @@ class SnnGateTracker:
 
 def write_track_csv(tracks, path) -> None:
     """Export a track log as CSV: t,center_x,center_y,depth,world_y per sensing step."""
-    with open(path, "w") as fh:
-        fh.write("t,center_x,center_y,depth,world_y\n")
-        for tr in tracks:
-            fh.write(
-                f"{tr.t:.6f},{tr.pixel_x},{tr.pixel_y},{tr.depth:.6f},{tr.world_y:.6f}\n"
-            )
+    columns = {"t": ".6f", "center_x": "", "center_y": "", "depth": ".6f", "world_y": ".6f"}
+    write_csv(path, columns, ((tr.t, tr.pixel_x, tr.pixel_y, tr.depth, tr.world_y) for tr in tracks))

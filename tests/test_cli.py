@@ -102,6 +102,8 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     ("[world]\ngate_sped = 3.0\n", "gate_sped"),
     ("[world]\nseed = 1.7\n", "seed"),
     ("[world]\ndrone_x = nan\n", "drone_x"),
+    ("[world]\nevent_threshold = 0\n", "event_threshold"),
+    ("[world]\nring_thickness_px = -1\n", "ring_thickness_px"),
 ])
 def test_run_rejects_bad_config(tmp_path, capsys, text, name):
     cfg_path = tmp_path / "episode.ini"
@@ -110,6 +112,36 @@ def test_run_rejects_bad_config(tmp_path, capsys, text, name):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("text, name", [
+    ("depth,v_star,k1,k2,k3,k4\n2,8,1,1,1,1\n", "k5"),
+    ("depth,v_star,k1,k2,k3,k4,k5,k6\n2,8,1,1,1,1,1,1\n", "k6"),
+    ("depth,v_star,k1,k2,k3,k4,k5\n2,8,1,1,1,1,1\n3,8,1,1\n", "line 3"),
+    ("depth,v_star,k1,k2,k3,k4,k5\n2,fast,1,1,1,1,1\n", "v_star"),
+    ("depth,depth,v_star,k1,k2,k3,k4,k5\n2,3,8,1,1,1,1,1\n", "duplicate column 'depth'"),
+])
+def test_train_pgnn_rejects_bad_dataset(tmp_path, capsys, text, name):
+    data_path = tmp_path / "dataset.csv"
+    data_path.write_text(text)
+    code = main([
+        "train-pgnn", "--dataset", str(data_path), "--epochs", "1",
+        "--out", str(tmp_path / "p.npz"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("command", ["benchmark", "ablation"])
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_suites_reject_run_counts_below_one(tmp_path, capsys, command, runs):
+    out = tmp_path / "out.csv"
+    code = main([command, "--out", str(out), "--runs", runs, "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runs" in err
+    assert not out.exists()
 
 
 def test_benchmark_rejects_bad_grid(tmp_path, capsys):

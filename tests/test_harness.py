@@ -70,6 +70,25 @@ class TestEpisodeConfig:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 EpisodeConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("event_threshold", 0.0), ("event_threshold", -0.5), ("event_threshold", 1.5),
+        ("ring_thickness_px", 0.0), ("ring_thickness_px", -2.0),
+    ])
+    def test_ring_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EpisodeConfig(**{name: value})
+
+    def test_ring_setting_bounds_accepted(self):
+        EpisodeConfig(event_threshold=1.0, ring_thickness_px=0.1)
+        EpisodeConfig(event_threshold=1e-6)
+
+    @pytest.mark.parametrize("overrides", [
+        {"gate_radius": 0.0}, {"gate_bound": -1.0}, {"gate_y0": 2.5},
+    ])
+    def test_invalid_gate_rejected_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            EpisodeConfig(**overrides)
+
     def test_sensing_bin_budget_at_least_one(self):
         EpisodeConfig(max_sensing_bins=1)
         with pytest.raises(ValueError, match="max_sensing_bins"):

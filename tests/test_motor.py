@@ -20,6 +20,7 @@ from gatesim.motor import (
     load_inertia,
     motor_power,
     rotor_speed_for_velocity,
+    rotor_speeds,
     trajectory_energy,
     write_profile_csv,
 )
@@ -199,6 +200,12 @@ class TestFlightModel:
         fm = FlightModel(hover_speed=800.0, drag_coeff=1.0)
         with pytest.raises(ExceedsMaxRotorSpeed):
             rotor_speed_for_velocity(fm, 16.0)
+        assert rotor_speeds(fm, 16.0) > fm.omega_max  # the array map does not clip
+
+    def test_array_map_matches_scalar_map_bit_for_bit(self, flight):
+        grid = np.arange(1.0, 17.0)  # energy_velocity_profile's default grid
+        omegas = rotor_speeds(flight, grid)
+        assert omegas.tolist() == [rotor_speed_for_velocity(flight, v) for v in grid]
 
     def test_negative_speed_rejected(self, flight):
         with pytest.raises(ValueError):
@@ -223,6 +230,14 @@ class TestEnergyVelocityProfile:
         a = energy_velocity_profile(coeffs, flight, 3.0)
         b = energy_velocity_profile(coeffs, flight, 6.0)
         assert np.allclose(b[:, 1], 2.0 * a[:, 1], rtol=1e-12)
+
+    def test_grid_crossing_the_rotor_limit_rejected(self, coeffs):
+        # hover at 800 rad/s with heavy drag: the 837 rad/s limit is passed
+        # between 1 and 2 m/s, so 2 m/s is the first grid speed over it
+        fm = FlightModel(hover_speed=800.0, drag_coeff=1.0)
+        assert rotor_speed_for_velocity(fm, 1.0) <= fm.omega_max
+        with pytest.raises(ExceedsMaxRotorSpeed, match=r"omega\(2\.0\)"):
+            energy_velocity_profile(coeffs, fm, 4.0)
 
     def test_grid_validation(self, coeffs, flight):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from gatesim.scene import (
     annulus_bbox,
     annulus_mask,
     events_to_frame,
+    gate_depth,
     generate_events,
     project_to_pixels,
     rewind_gate,
@@ -196,6 +197,37 @@ class TestAnnulus:
     def test_invisible_gate_has_no_bbox(self):
         cam = CameraModel(position=(2.0, -30.0, 0.0))
         assert annulus_bbox(cam, GateState(y=2.0, velocity=0.0)) is None
+
+    @staticmethod
+    def _reference_mask(camera, gate, thickness_px, threshold):
+        """Full-frame anti-aliased coverage, clipped to [0, 1], then thresholded."""
+        px, py = project_to_pixels(camera, (gate.plane_x, gate.y, 0.0))
+        r_px = camera.focal_px * gate.radius / gate_depth(camera, gate)
+        ys, xs = np.mgrid[0:camera.height, 0:camera.width]
+        band = thickness_px / 2.0 + 0.5 - np.abs(np.hypot(xs - px, ys - py) - r_px)
+        return np.clip(band, 0.0, 1.0) >= threshold
+
+    def test_mask_equals_clipped_full_frame_coverage(self):
+        rng = np.random.default_rng(0)
+        for i in range(150):
+            cam = CameraModel(position=(rng.uniform(-1.5, 8.0), rng.uniform(-4.0, 4.0), 0.0))
+            gate = GateState(y=rng.uniform(-2.0, 2.0), velocity=0.0,
+                             radius=rng.uniform(0.3, 1.5))
+            threshold = 1.0 if i % 10 == 0 else rng.uniform(1e-6, 1.0)
+            thickness = rng.uniform(0.5, 4.0)
+            expected = self._reference_mask(cam, gate, thickness, threshold)
+            np.testing.assert_array_equal(annulus_mask(cam, gate, thickness, threshold), expected)
+
+    @pytest.mark.parametrize("threshold, thickness, name", [
+        (0.0, 2.0, "event_threshold"), (1.01, 2.0, "event_threshold"),
+        (0.5, 0.0, "ring_thickness_px"), (0.5, -1.0, "ring_thickness_px"),
+    ])
+    def test_ring_settings_rejected(self, threshold, thickness, name):
+        gate = GateState(velocity=0.0)
+        with pytest.raises(ValueError, match=name):
+            annulus_mask(CameraModel(), gate, thickness, threshold)
+        with pytest.raises(ValueError, match=name):
+            WorldConfig(gate=gate, event_threshold=threshold, ring_thickness_px=thickness)
 
 
 def test_events_csv_format(tmp_path):
