@@ -130,8 +130,8 @@ def build_dataset(
     depths = [float(d) for d in depths]
     if len(set(depths)) != len(depths):
         raise ValueError("duplicate depths in dataset")
-    if any(d <= 0 for d in depths):
-        raise ValueError("depths must be positive")
+    if not all(0 < d < np.inf for d in depths):
+        raise ValueError("depths must be finite and positive")
     samples = []
     for depth in depths:
         profile = energy_velocity_profile(c, fm, depth, v_grid)

@@ -12,7 +12,6 @@ event-vs-depth energy comparison, and the 2x2 perception/planner ablation.
 from __future__ import annotations
 
 import configparser
-import math
 import typing
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
@@ -39,7 +38,7 @@ from .planner import (
     sample_arrays,
     write_trajectory_csv,
 )
-from .scene import EventCameraSim, GateState, WorldConfig, rewind_gate, step_gate
+from .scene import EventCameraSim, WorldConfig, rewind_gate, step_gate
 from .tracker import LifConfig, SnnGateTracker
 
 EVENT_LATENCY = 0.2      # perception pipeline delay of the event path [s]
@@ -51,78 +50,36 @@ FLIGHT_SAMPLE_DT = 1e-3
 
 
 @dataclass(frozen=True)
-class EpisodeConfig:
-    """Everything one episode needs: world, perception and planner settings."""
+class EpisodeConfig(WorldConfig):
+    """Everything one episode needs: the world, then perception and planner
+    settings (the ``[episode]`` section of an episode config file)."""
 
-    drone_x: float = 2.0
-    drone_y: float = 0.0
-    gate_y0: float = 2.0
-    gate_speed: float = 0.5
-    gate_bound: float = 2.0
-    gate_radius: float = 1.0
-    gate_plane_x: float = -2.0
-    drone_radius: float = 0.25
-    sensing_dt: float = 0.1
-    frame_dt: float = 0.01
-    event_threshold: float = 0.5
-    spurious_rate: float = 0.0
-    ring_thickness_px: float = 2.0
-    depth_noise_sigma: float = 0.0
     perception_mode: str = "event-snn"
     planner_mode: str = "pgnn"
     perception_latency: float | None = None  # None -> mode default
+    depth_noise_sigma: float = 0.0
+    drone_radius: float = 0.25
     max_sensing_bins: int = 20
-    seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        super().__post_init__()
         if self.perception_mode not in PERCEPTION_MODES:
             raise ValueError(f"unknown perception mode {self.perception_mode!r}")
         if self.planner_mode not in PLANNER_MODES:
             raise ValueError(f"unknown planner mode {self.planner_mode!r}")
-        if self.drone_x <= self.gate_plane_x:
-            raise ValueError("drone must start in front of the gate plane")
-        # _perceive_events charges sensing_dt per bin of whole frames
-        bins = self.sensing_dt / self.frame_dt if self.frame_dt > 0 else 0.0
-        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
-            raise ValueError("sensing_dt must be a positive integer multiple of frame_dt")
         if self.perception_latency is not None and self.perception_latency < 0:
-            raise ValueError("latency must be >= 0")
+            raise ValueError("perception_latency must be >= 0")
+        for name in ("depth_noise_sigma", "drone_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.max_sensing_bins < 1:
             raise ValueError("max_sensing_bins must be >= 1")
-        self.world()  # GateState and WorldConfig check the gate and ring settings
 
     @property
     def latency(self) -> float:
         if self.perception_latency is not None:
             return self.perception_latency
         return EVENT_LATENCY if self.perception_mode == "event-snn" else DEPTH_LATENCY
-
-    @property
-    def depth(self) -> float:
-        return self.drone_x - self.gate_plane_x
-
-    def gate(self) -> GateState:
-        return GateState(
-            self.gate_y0, self.gate_speed, self.gate_bound,
-            self.gate_radius, self.gate_plane_x,
-        )
-
-    def world(self) -> WorldConfig:
-        return WorldConfig(
-            gate=self.gate(),
-            drone_x=self.drone_x,
-            drone_y=self.drone_y,
-            sensing_dt=self.sensing_dt,
-            frame_dt=self.frame_dt,
-            event_threshold=self.event_threshold,
-            spurious_rate=self.spurious_rate,
-            ring_thickness_px=self.ring_thickness_px,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -178,15 +135,11 @@ def _perceive_events(cfg: EpisodeConfig, models: PlannerModels):
     hover time.  Returns (y1, y2, dt_meas, depth_meas, sensing_time) or None
     when tracking is lost (> 3 consecutive boxless bins or the bin budget).
     """
-    world = cfg.world()
-    camera = world.camera()
     frames_per_bin = max(1, round(cfg.sensing_dt / cfg.frame_dt))
     sim = EventCameraSim(
-        world, camera,
-        start_time=-cfg.sensing_dt,
-        gate=rewind_gate(cfg.gate(), cfg.sensing_dt),
+        cfg, start_time=-cfg.sensing_dt, gate=rewind_gate(cfg.gate(), cfg.sensing_dt)
     )
-    tracker = SnnGateTracker(camera, models.lif, cfg.depth_noise_sigma, cfg.seed)
+    tracker = SnnGateTracker(sim.camera, models.lif, cfg.depth_noise_sigma, cfg.seed)
 
     tracks = []
     empty_streak = 0
@@ -395,6 +348,8 @@ def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     rows = []
     for ci, cell in enumerate(cells):
         for run in range(runs):
@@ -550,14 +505,10 @@ def write_ablation_csv(cells, path) -> None:
 # ---------------------------------------------------------------------------
 # episode config files (INI key-value schema, see README)
 
-# keys of the [episode] section; every other EpisodeConfig field is in [world]
-_EPISODE_KEYS = (
-    "perception_mode", "planner_mode", "perception_latency",
-    "depth_noise_sigma", "drone_radius", "max_sensing_bins",
-)
+_WORLD_KEYS = tuple(f.name for f in fields(WorldConfig))
 _INI_SECTIONS = {
-    "world": tuple(f.name for f in fields(EpisodeConfig) if f.name not in _EPISODE_KEYS),
-    "episode": _EPISODE_KEYS,
+    "world": _WORLD_KEYS,
+    "episode": tuple(f.name for f in fields(EpisodeConfig) if f.name not in _WORLD_KEYS),
 }
 
 

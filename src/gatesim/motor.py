@@ -257,8 +257,8 @@ def energy_velocity_profile(
     (velocity, energy) rows.  Raises ExceedsMaxRotorSpeed naming the first
     grid speed whose rotor speed exceeds the motor limit.
     """
-    if depth <= 0:
-        raise ValueError("depth must be positive")
+    if not 0 < depth < np.inf:
+        raise ValueError(f"depth must be finite and positive, got {depth}")
     if v_grid is None:
         v_grid = np.arange(1.0, 17.0)
     v_grid = np.asarray(v_grid, dtype=float)

@@ -231,8 +231,8 @@ class TrainConfig:
     bn_momentum: float = 0.9
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

@@ -8,7 +8,8 @@ uncovers a pixel between consecutive frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -217,16 +218,21 @@ def write_events_csv(events: np.ndarray, path) -> None:
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Full description of one synthetic world.
+    """Full description of one synthetic world: drone, gate and event camera.
 
-    The seed determines every stochastic draw (spurious events, sensor
-    noise); two worlds with equal configs produce bit-identical event
-    streams.
+    The field order is the order of the ``[world]`` section of an episode
+    config file.  The seed determines every stochastic draw (spurious
+    events, sensor noise); two worlds with equal configs produce
+    bit-identical event streams.
     """
 
-    gate: GateState
     drone_x: float = 2.0
     drone_y: float = 0.0
+    gate_y0: float = 2.0
+    gate_speed: float = 0.5
+    gate_bound: float = 2.0
+    gate_radius: float = 1.0
+    gate_plane_x: float = -2.0
     sensing_dt: float = 0.1
     frame_dt: float = 0.01
     event_threshold: float = 0.5
@@ -235,11 +241,38 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sensing_dt <= 0:
-            raise ValueError("sensing_dt must be positive")
-        if self.frame_dt <= 0:
-            raise ValueError("frame_dt must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.drone_x <= self.gate_plane_x:
+            raise ValueError(f"drone_x = {self.drone_x} is not in front of gate_plane_x")
+        # GateState's checks, naming the config fields
+        if self.gate_bound <= 0:
+            raise ValueError(f"gate_bound must be positive, got {self.gate_bound}")
+        if self.gate_radius <= 0:
+            raise ValueError(f"gate_radius must be positive, got {self.gate_radius}")
+        if abs(self.gate_y0) > self.gate_bound + 1e-12:
+            raise ValueError(f"gate_y0 = {self.gate_y0} is outside [-gate_bound, +gate_bound]")
+        # the tracker's sensing bins hold whole frames
+        bins = self.sensing_dt / self.frame_dt if self.frame_dt > 0 else 0.0
+        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
+            raise ValueError("sensing_dt must be a positive integer multiple of frame_dt")
         _check_ring(self.event_threshold, self.ring_thickness_px)
+        if self.spurious_rate < 0:
+            raise ValueError(f"spurious_rate must be >= 0, got {self.spurious_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def depth(self) -> float:
+        return self.drone_x - self.gate_plane_x
+
+    def gate(self) -> GateState:
+        return GateState(
+            self.gate_y0, self.gate_speed, self.gate_bound,
+            self.gate_radius, self.gate_plane_x,
+        )
 
     def camera(self) -> CameraModel:
         return CameraModel(position=(self.drone_x, self.drone_y, 0.0))
@@ -253,12 +286,12 @@ class EventCameraSim:
     Optionally injects spurious events at uniformly random pixels.
     """
 
-    def __init__(self, config: WorldConfig, camera: CameraModel | None = None,
-                 start_time: float = 0.0, gate: GateState | None = None):
+    def __init__(self, config: WorldConfig, start_time: float = 0.0,
+                 gate: GateState | None = None):
         self.config = config
-        self.camera = camera if camera is not None else config.camera()
+        self.camera = config.camera()
         self.time = start_time
-        self.gate = gate if gate is not None else config.gate
+        self.gate = gate if gate is not None else config.gate()
         self._rng = np.random.default_rng(config.seed)
         self._mask: np.ndarray | None = None  # cache of the last frame's annulus
 

@@ -284,15 +284,15 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
         return inter / (area_a + area_b - inter)
 
     # lateral span +-0.6 m keeps the ring fully inside the frame at all depths
-    gate = GateState(y=-0.6, velocity=speed, bound=0.6, plane_x=-2.0)
-    cfg = WorldConfig(gate=gate, drone_x=depth - 2.0, seed=3)
+    cfg = WorldConfig(gate_y0=-0.6, gate_speed=speed, gate_bound=0.6, gate_plane_x=-2.0,
+                      drone_x=depth - 2.0, seed=3)
     cam = cfg.camera()
     sim = EventCameraSim(cfg)
     lif = LifConfig()
     membrane = new_membrane_grid(cam.shape)
     prev_frame = None
     prev_mid = None
-    state = gate
+    state = cfg.gate()
     ious = []
     for _ in range(n_bins):
         mid_state = step_gate(state, cfg.sensing_dt / 2)

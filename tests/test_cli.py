@@ -104,6 +104,12 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     ("[world]\ndrone_x = nan\n", "drone_x"),
     ("[world]\nevent_threshold = 0\n", "event_threshold"),
     ("[world]\nring_thickness_px = -1\n", "ring_thickness_px"),
+    ("[world]\ngate_y0 = 2.5\n", "gate_y0"),
+    ("[world]\ngate_radius = 0\n", "gate_radius"),
+    ("[world]\nseed = -1\n", "seed"),
+    ("[world]\nspurious_rate = -5\n", "spurious_rate"),
+    ("[episode]\ndepth_noise_sigma = -0.1\n", "depth_noise_sigma"),
+    ("[episode]\ndrone_radius = -1\n", "drone_radius"),
 ])
 def test_run_rejects_bad_config(tmp_path, capsys, text, name):
     cfg_path = tmp_path / "episode.ini"
@@ -141,6 +147,29 @@ def test_suites_reject_run_counts_below_one(tmp_path, capsys, command, runs):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "runs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["benchmark", "ablation"])
+def test_suites_reject_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    code = main([command, "--out", str(out), "--seed", "-5", "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["profile-energy", "--depth", "nan"], "depth"),
+    (["profile-energy", "--depth", "4", "--depth", "inf"], "depth"),
+    (["train-pgnn", "--lambda", "nan", "--epochs", "1"], "lam"),
+])
+def test_non_finite_arguments_rejected(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
     assert not out.exists()
 
 

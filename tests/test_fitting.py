@@ -112,6 +112,11 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             build_dataset([2.0, -1.0], coeffs, flight)
 
+    @pytest.mark.parametrize("depth", [float("nan"), float("inf")])
+    def test_non_finite_depth_rejected(self, coeffs, flight, depth):
+        with pytest.raises(ValueError, match="depths must be finite"):
+            build_dataset([2.0, depth], coeffs, flight)
+
     def test_default_depths(self):
         depths = default_training_depths()
         assert len(depths) == 21

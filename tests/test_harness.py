@@ -78,6 +78,17 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError, match=name):
             EpisodeConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("spurious_rate", -5.0), ("depth_noise_sigma", -0.1), ("drone_radius", -1.0),
+        ("seed", -1),
+    ])
+    def test_negative_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EpisodeConfig(**{name: value})
+
+    def test_zero_settings_accepted(self):
+        EpisodeConfig(spurious_rate=0.0, depth_noise_sigma=0.0, drone_radius=0.0, seed=0)
+
     def test_ring_setting_bounds_accepted(self):
         EpisodeConfig(event_threshold=1.0, ring_thickness_px=0.1)
         EpisodeConfig(event_threshold=1e-6)
@@ -423,8 +434,25 @@ class TestCsvAndConfig:
         cfg = self._load(tmp_path, "[world]\nseed = 3\ndrone_y = default\n[episode]\n")
         assert cfg == EpisodeConfig(seed=3)
 
-    def test_readme_example_loads(self, tmp_path):
+    @staticmethod
+    def _readme_ini_block():
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         schema = readme.split("### Episode config schema (INI)", 1)[1]
-        block = re.search(r"```ini\n(.*?)```", schema, re.S).group(1)
-        assert self._load(tmp_path, block) == EpisodeConfig()
+        return re.search(r"```ini\n(.*?)```", schema, re.S).group(1)
+
+    def test_readme_example_loads(self, tmp_path):
+        assert self._load(tmp_path, self._readme_ini_block()) == EpisodeConfig()
+
+    def test_written_key_order_matches_readme(self, tmp_path):
+        def keys_by_section(text):
+            sections = {}
+            for line in text.splitlines():
+                if line.startswith("["):
+                    keys = sections[line.strip("[]")] = []
+                elif "=" in line:
+                    keys.append(line.split("=", 1)[0].strip())
+            return list(sections.items())
+
+        path = tmp_path / "episode.ini"
+        write_episode_config(EpisodeConfig(), path)
+        assert keys_by_section(path.read_text()) == keys_by_section(self._readme_ini_block())

@@ -245,6 +245,11 @@ class TestEnergyVelocityProfile:
         with pytest.raises(ValueError):
             energy_velocity_profile(coeffs, flight, -1.0)
 
+    @pytest.mark.parametrize("depth", [float("nan"), float("inf")])
+    def test_non_finite_depth_rejected(self, coeffs, flight, depth):
+        with pytest.raises(ValueError, match="depth must be finite"):
+            energy_velocity_profile(coeffs, flight, depth)
+
 
 def test_profile_csv_and_report(tmp_path, coeffs, flight):
     profiles = {4.0: energy_velocity_profile(coeffs, flight, 4.0)}

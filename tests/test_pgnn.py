@@ -179,6 +179,11 @@ class TestTraining:
         with pytest.raises(EmptyDataset):
             train_pgnn(dataset[:5], TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("lam", [-1e-4, float("nan"), float("inf")])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be"):
+            TrainConfig(lam=lam)
+
     def test_divergence_detected(self, dataset):
         poisoned = list(dataset[:8])
         poisoned[0] = TrainingSample(3.0, float("nan"), np.zeros(5))

@@ -108,18 +108,16 @@ class TestProjection:
 
 class TestEventGeneration:
     def setup_method(self):
-        self.cfg = WorldConfig(
-            gate=GateState(y=0.0, velocity=1.0, bound=2.0), drone_x=2.0
-        )
+        self.cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, gate_bound=2.0, drone_x=2.0)
         self.cam = self.cfg.camera()
 
     def test_static_scene_no_events(self):
-        gate = self.cfg.gate
+        gate = self.cfg.gate()
         events = generate_events(self.cam, gate, gate, 0.0)
         assert len(events) == 0
 
     def test_moving_gate_produces_polarized_events(self):
-        gate = self.cfg.gate
+        gate = self.cfg.gate()
         moved = step_gate(gate, 0.01)
         events = generate_events(self.cam, gate, moved, 0.01)
         assert len(events) > 0
@@ -128,7 +126,7 @@ class TestEventGeneration:
 
     def test_events_inside_union_of_annuli(self):
         # brute-force containment oracle: rasterize both annuli
-        gate = self.cfg.gate
+        gate = self.cfg.gate()
         moved = step_gate(gate, 0.05)  # several-pixel displacement
         events = generate_events(self.cam, gate, moved, 0.05)
         union = annulus_mask(self.cam, gate) | annulus_mask(self.cam, moved)
@@ -157,7 +155,7 @@ class TestEventGeneration:
 
     def test_spurious_events_seeded(self):
         noisy = WorldConfig(
-            gate=GateState(velocity=0.0), drone_x=2.0, spurious_rate=5000.0, seed=42
+            gate_y0=0.0, gate_speed=0.0, drone_x=2.0, spurious_rate=5000.0, seed=42
         )
         counts = []
         for _ in range(2):
@@ -167,7 +165,7 @@ class TestEventGeneration:
         assert counts[0] > 0  # the gate is static, so all events are spurious
 
     def test_event_frame_counts(self):
-        gate = self.cfg.gate
+        gate = self.cfg.gate()
         moved = step_gate(gate, 0.01)
         events = generate_events(self.cam, gate, moved, 0.01)
         frame = events_to_frame(events, self.cam.shape)
@@ -177,9 +175,9 @@ class TestEventGeneration:
 
 class TestAnnulus:
     def test_ring_radius_in_pixels(self):
-        cfg = WorldConfig(gate=GateState(y=0.0, velocity=0.0), drone_x=2.0)
+        cfg = WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0)
         cam = cfg.camera()
-        mask = annulus_mask(cam, cfg.gate)
+        mask = annulus_mask(cam, cfg.gate())
         ys, xs = np.nonzero(mask)
         rho = np.hypot(xs - 320.0, ys - 240.0)
         r_expected = 500.0 * 1.0 / 4.0  # focal * radius / depth
@@ -187,10 +185,10 @@ class TestAnnulus:
         assert rho.max() == pytest.approx(r_expected + 1.0, abs=1.0)
 
     def test_bbox_matches_mask(self):
-        cfg = WorldConfig(gate=GateState(y=0.5, velocity=0.0), drone_x=2.0)
+        cfg = WorldConfig(gate_y0=0.5, gate_speed=0.0, drone_x=2.0)
         cam = cfg.camera()
-        box = annulus_bbox(cam, cfg.gate)
-        mask = annulus_mask(cam, cfg.gate)
+        box = annulus_bbox(cam, cfg.gate())
+        mask = annulus_mask(cam, cfg.gate())
         ys, xs = np.nonzero(mask)
         assert box == (xs.min(), xs.max(), ys.min(), ys.max())
 
@@ -227,11 +225,28 @@ class TestAnnulus:
         with pytest.raises(ValueError, match=name):
             annulus_mask(CameraModel(), gate, thickness, threshold)
         with pytest.raises(ValueError, match=name):
-            WorldConfig(gate=gate, event_threshold=threshold, ring_thickness_px=thickness)
+            WorldConfig(gate_y0=0.0, gate_speed=0.0, event_threshold=threshold,
+                        ring_thickness_px=thickness)
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({"gate_y0": 2.5}, "gate_y0"), ({"gate_y0": -2.0 - 1e-9}, "gate_y0"),
+    ({"gate_bound": 0.0, "gate_y0": 0.0}, "gate_bound"), ({"gate_radius": 0.0}, "gate_radius"),
+    ({"spurious_rate": -5.0}, "spurious_rate"), ({"seed": -1}, "seed"),
+    ({"drone_x": -2.0}, "drone_x"),
+])
+def test_world_settings_rejected(overrides, name):
+    with pytest.raises(ValueError, match=name):
+        WorldConfig(**overrides)
+
+
+def test_world_gate_accepts_gate_state_bounds():
+    cfg = WorldConfig(gate_y0=-2.0 - 1e-13, gate_bound=2.0)
+    assert cfg.gate() == GateState(y=-2.0 - 1e-13, velocity=0.5, bound=2.0)
 
 
 def test_events_csv_format(tmp_path):
-    cfg = WorldConfig(gate=GateState(velocity=1.0), drone_x=2.0)
+    cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, drone_x=2.0)
     sim = EventCameraSim(cfg)
     events = np.concatenate([sim.step()[2] for _ in range(3)])
     path = tmp_path / "events.csv"

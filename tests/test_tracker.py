@@ -12,7 +12,6 @@ from gatesim.errors import (
 from gatesim.scene import (
     CameraModel,
     EventCameraSim,
-    GateState,
     WorldConfig,
     project_to_pixels,
 )
@@ -214,7 +213,7 @@ class TestTrackerPipeline:
         sim = EventCameraSim(cfg)
         tracker = tracker or SnnGateTracker(cam)
         frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
-        depth = cfg.drone_x - cfg.gate.plane_x
+        depth = cfg.drone_x - cfg.gate().plane_x
         tracks, states = [], []
         for _ in range(n_bins):
             events = np.concatenate([sim.step()[2] for _ in range(frames_per_bin)])
@@ -224,7 +223,7 @@ class TestTrackerPipeline:
         return tracks, states
 
     def test_moving_gate_is_tracked_near_truth(self):
-        cfg = WorldConfig(gate=GateState(y=-0.5, velocity=0.5, bound=0.6), drone_x=2.0)
+        cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
         tracks, states = self._run_bins(cfg, 8)
         found = [t for t in tracks if t is not None]
         assert len(found) >= 5
@@ -234,16 +233,14 @@ class TestTrackerPipeline:
                 assert abs(track.world_y - state.y) < 0.25
 
     def test_first_bin_never_tracks(self):
-        cfg = WorldConfig(gate=GateState(y=0.0, velocity=0.5, bound=2.0), drone_x=2.0)
+        cfg = WorldConfig(gate_y0=0.0, gate_speed=0.5, gate_bound=2.0, drone_x=2.0)
         tracks, _ = self._run_bins(cfg, 3)
         assert tracks[0] is None
 
     def test_speed_selectivity_over_full_traversal(self):
         # doubling the gate speed must not reduce the total spike count
         def spike_count(speed):
-            cfg = WorldConfig(
-                gate=GateState(y=-0.6, velocity=speed, bound=0.6), drone_x=2.0
-            )
+            cfg = WorldConfig(gate_y0=-0.6, gate_speed=speed, gate_bound=0.6, drone_x=2.0)
             cam = cfg.camera()
             sim = EventCameraSim(cfg)
             tracker = SnnGateTracker(cam)
@@ -269,7 +266,7 @@ class TestTrackerPipeline:
         assert fast >= slow
 
     def test_depth_noise_is_seeded(self):
-        cfg = WorldConfig(gate=GateState(y=-0.5, velocity=0.5, bound=0.6), drone_x=2.0)
+        cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
         results = []
         for _ in range(2):
             tracker = SnnGateTracker(cfg.camera(), depth_noise_sigma=0.05, seed=9)
