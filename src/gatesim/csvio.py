@@ -28,12 +28,14 @@ def write_csv(path, columns: dict[str, str], rows) -> None:
             fh.write(",".join(format(v, s) for v, s in zip(row, specs, strict=True)) + "\n")
 
 
-def read_csv(path, types: dict, optional=()) -> list[dict]:
-    """Rows of a CSV file as dicts of values parsed by their column's type.
+def read_csv(path, types: dict, optional=(), build=dict) -> list:
+    """Rows of a CSV file, each a dict of values parsed by their column's
+    type and passed to ``build``.
 
     The columns must be distinct keys of ``types``, including all keys not
-    in ``optional``; otherwise, or for a row of the wrong length or a value
-    that does not parse, raises ValueError naming it.
+    in ``optional``; otherwise, or for a row of the wrong length, a value
+    that does not parse or a ValueError from ``build``, raises ValueError
+    naming it.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -51,5 +53,9 @@ def read_csv(path, types: dict, optional=()) -> list[dict]:
             if None in row or None in row.values():
                 raise ValueError(f"line {reader.line_num} of {path} needs {len(header)} values")
             where = f"line {reader.line_num}: "
-            rows.append({key: parse_as(types[key], raw, where + key) for key, raw in row.items()})
+            values = {key: parse_as(types[key], raw, where + key) for key, raw in row.items()}
+            try:
+                rows.append(build(values))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
     return rows

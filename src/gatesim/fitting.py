@@ -156,9 +156,14 @@ def write_dataset_csv(samples, path) -> None:
     write_csv(path, _DATASET_COLUMNS, ((s.depth, s.v_star, *s.constraint) for s in samples))
 
 
+def _dataset_sample(row: dict) -> TrainingSample:
+    if not 0 < row["depth"] < np.inf:
+        raise ValueError(f"depth must be finite and positive, got {row['depth']}")
+    return TrainingSample(row["depth"], row["v_star"], np.array([row[f"k{j}"] for j in range(1, 6)]))
+
+
 def read_dataset_csv(path) -> list[TrainingSample]:
     """Load training samples written by write_dataset_csv; a missing or
-    unknown column, a short row or a non-number raises ValueError naming it."""
-    rows = read_csv(path, dict.fromkeys(_DATASET_COLUMNS, float))
-    return [TrainingSample(r["depth"], r["v_star"], np.array([r[f"k{j}"] for j in range(1, 6)]))
-            for r in rows]
+    unknown column, a short row, a non-number or a depth that is not finite
+    and positive raises ValueError naming it."""
+    return read_csv(path, dict.fromkeys(_DATASET_COLUMNS, float), build=_dataset_sample)

@@ -553,11 +553,19 @@ def load_grid_csv(path) -> list[GridCell]:
 
     drone_x, drone_y and gate_y0 are required; an absent gate_speed or
     alternate column takes the field's default.  A missing, unknown or
-    duplicate column, a row of the wrong length, or a value that does not
-    parse as its field's type raises ValueError naming it.
+    duplicate column, a row of the wrong length, a value that does not
+    parse as its field's type, or a row whose world is invalid raises
+    ValueError naming it.
     """
     optional = [f.name for f in fields(GridCell) if f.default is not MISSING]
-    return [GridCell(**row) for row in read_csv(path, typing.get_type_hints(GridCell), optional)]
+    return read_csv(path, typing.get_type_hints(GridCell), optional, build=_checked_cell)
+
+
+def _checked_cell(row: dict) -> GridCell:
+    """The row's cell, once its first run's world has passed WorldConfig's checks."""
+    cell = GridCell(**row)
+    derive_run_config(cell, 0)
+    return cell
 
 
 def write_grid_cells_csv(cells, path) -> None:

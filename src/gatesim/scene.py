@@ -131,32 +131,55 @@ def annulus_mask(
     thickness_px: float = 2.0,
     threshold: float = 0.5,
 ) -> np.ndarray:
-    """Boolean per-pixel mask of the rasterized annulus.
+    """Covered pixels of the rasterized annulus as sorted flat indices (row * width + col).
 
     A pixel is covered when its anti-aliased coverage, 1 inside the band
     |rho - r| <= thickness/2 around the projected ring radius and falling off
     linearly over one pixel outside it, reaches ``threshold`` in (0, 1]; 0.5
-    reproduces the crisp 2-pixel band.
+    reproduces the crisp 2-pixel band.  The test runs only on each row's
+    candidate spans: the columns whose offset from the centre can put them
+    within c = thickness/2 + 0.5 - threshold of the radius, with a pixel to
+    spare on either side, so it decides every pixel that can be covered.
     """
     _check_ring(threshold, thickness_px)
     px, py = project_to_pixels(camera, (gate.plane_x, gate.y, 0.0))
     r_px = camera.focal_px * gate.radius / gate_depth(camera, gate)
     half = thickness_px / 2.0
+    c = half + 0.5 - threshold
+    outer = r_px + c + 1.0
+    inner = max(r_px - c - 1.0, 0.0)
+    y0 = max(math.floor(py - outer), 0)
+    y1 = min(math.ceil(py + outer) + 1, camera.height)
+    if y0 >= y1:
+        return np.empty(0, dtype=np.int64)
 
-    mask = np.zeros(camera.shape, dtype=bool)
-    margin = r_px + half + 1.0
-    x0 = max(int(np.floor(px - margin)), 0)
-    x1 = min(int(np.ceil(px + margin)) + 1, camera.width)
-    y0 = max(int(np.floor(py - margin)), 0)
-    y1 = min(int(np.ceil(py + margin)) + 1, camera.height)
-    if x0 >= x1 or y0 >= y1:
-        return mask
+    rows = np.arange(y0, y1)
+    dy2 = (rows - py) ** 2
+    reach = np.sqrt(np.maximum(outer * outer - dy2, 0.0))
+    hole = np.sqrt(np.maximum(inner * inner - dy2, 0.0))
+    # per row, a left span of columns [lo[:, 0], hi[:, 0]) with
+    # hole - 1 <= px - x <= reach + 1, and the mirrored right one; where the
+    # two touch, the left span takes both
+    lo = np.empty((len(rows), 2))
+    hi = np.empty_like(lo)
+    lo[:, 0] = np.ceil(px - reach) - 1.0
+    hi[:, 0] = np.floor(px - hole) + 2.0
+    lo[:, 1] = np.ceil(px + hole) - 1.0
+    hi[:, 1] = np.floor(px + reach) + 2.0
+    merged = hi[:, 0] >= lo[:, 1]
+    hi[merged, 0] = hi[merged, 1]
+    hi[merged, 1] = lo[merged, 1]
+    lo = np.clip(lo, 0, camera.width).astype(np.int64).ravel()
+    lengths = np.maximum(np.clip(hi, 0, camera.width).astype(np.int64).ravel() - lo, 0)
 
-    ys, xs = np.ogrid[y0:y1, x0:x1]
+    # ragged arange: the columns of every span, row-major
+    ends = np.cumsum(lengths)
+    xs = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
+    ys = np.repeat(np.repeat(rows, 2), lengths)
     rho = np.hypot(xs - px, ys - py)
     # for a threshold in (0, 1], clipping the coverage to [0, 1] changes no pixel
-    mask[y0:y1, x0:x1] = half + 0.5 - np.abs(rho - r_px) >= threshold
-    return mask
+    covered = half + 0.5 - np.abs(rho - r_px) >= threshold
+    return ys[covered] * camera.width + xs[covered]
 
 
 def annulus_bbox(
@@ -166,21 +189,24 @@ def annulus_bbox(
     threshold: float = 0.5,
 ):
     """Pixel bounding box (x_min, x_max, y_min, y_max) of the visible annulus, or None."""
-    mask = annulus_mask(camera, gate, thickness_px, threshold)
-    if not mask.any():
+    pixels = annulus_mask(camera, gate, thickness_px, threshold)
+    if not len(pixels):
         return None
-    ys, xs = np.nonzero(mask)
-    return int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max())
+    xs = pixels % camera.width
+    return (int(xs.min()), int(xs.max()),
+            int(pixels[0] // camera.width), int(pixels[-1] // camera.width))
 
 
-def _events_from_masks(before: np.ndarray, after: np.ndarray, t: float) -> np.ndarray:
-    changed = before ^ after
-    ys, xs = np.nonzero(changed)
-    events = np.empty(len(ys), dtype=EVENT_DTYPE)
+def _coverage_events(before: np.ndarray, after: np.ndarray, t: float, width: int) -> np.ndarray:
+    """Events between two sorted pixel-index sets, row-major; +1 where ``after`` covers."""
+    changed = np.setxor1d(before, after, assume_unique=True)
+    pos = np.searchsorted(after, changed)
+    covers = pos < len(after)
+    covers[covers] = after[pos[covers]] == changed[covers]
+    events = np.empty(len(changed), dtype=EVENT_DTYPE)
     events["t"] = t
-    events["x"] = xs
-    events["y"] = ys
-    events["p"] = np.where(after[ys, xs], 1, -1)
+    events["y"], events["x"] = np.divmod(changed, width)
+    events["p"] = np.where(covers, 1, -1)
     return events
 
 
@@ -200,15 +226,23 @@ def generate_events(
     """
     before = annulus_mask(camera, gate_before, thickness_px, threshold)
     after = annulus_mask(camera, gate_after, thickness_px, threshold)
-    return _events_from_masks(before, after, t)
+    return _coverage_events(before, after, t, camera.width)
 
 
-def events_to_frame(events: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Per-pixel event counts (both polarities) as an int32 frame."""
-    frame = np.zeros(shape, dtype=np.int32)
-    if len(events):
-        np.add.at(frame, (events["y"], events["x"]), 1)
-    return frame
+def events_to_frame(
+    events: np.ndarray, shape: tuple[int, int], origin: tuple[int, int] = (0, 0)
+) -> np.ndarray:
+    """Per-pixel event counts (both polarities) as an int32 frame.
+
+    The frame covers ``shape`` pixels of the sensor from ``origin`` (row,
+    column); an event outside it raises ValueError.
+    """
+    h, w = shape
+    ys = events["y"] - origin[0]
+    xs = events["x"] - origin[1]
+    if len(events) and (ys.min() < 0 or ys.max() >= h or xs.min() < 0 or xs.max() >= w):
+        raise ValueError(f"events fall outside the {h}x{w} frame at {origin}")
+    return np.bincount(ys * w + xs, minlength=h * w).astype(np.int32).reshape(shape)
 
 
 def write_events_csv(events: np.ndarray, path) -> None:
@@ -293,7 +327,7 @@ class EventCameraSim:
         self.time = start_time
         self.gate = gate if gate is not None else config.gate()
         self._rng = np.random.default_rng(config.seed)
-        self._mask: np.ndarray | None = None  # cache of the last frame's annulus
+        self._mask: np.ndarray | None = None  # the last frame's covered pixels
 
     def step(self) -> tuple[float, GateState, np.ndarray]:
         """Advance one frame; returns (frame time, new gate state, events)."""
@@ -308,7 +342,7 @@ class EventCameraSim:
         after_mask = annulus_mask(
             self.camera, after, cfg.ring_thickness_px, cfg.event_threshold
         )
-        events = _events_from_masks(self._mask, after_mask, self.time)
+        events = _coverage_events(self._mask, after_mask, self.time, self.camera.width)
         self._mask = after_mask
         if cfg.spurious_rate > 0:
             events = self._add_spurious(events)

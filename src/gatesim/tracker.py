@@ -155,6 +155,12 @@ class SnnGateTracker:
     counts into the LIF layer and recovers the box from the previous bin's
     events.  Depth comes from a simulated depth sensor (ground truth plus
     optional Gaussian noise).
+
+    Each bin updates only a region of the grid: the *live box*, which holds
+    every nonzero potential, joined with the bin's events and widened by the
+    kernel radius.  Outside it the potential is +0.0 and gets no drive, so
+    it stays +0.0 and cannot reach the positive threshold; the result is the
+    full-grid update, bit for bit.
     """
 
     def __init__(
@@ -169,23 +175,53 @@ class SnnGateTracker:
         self.depth_noise_sigma = depth_noise_sigma
         self._rng = np.random.default_rng(seed)
         self.membrane = new_membrane_grid(camera.shape)
-        self.prev_frame: np.ndarray | None = None
+        # (y0, y1, x0, x1), half-open: the previous bin's region, which holds
+        # every nonzero potential, and its event frame; None before any
+        self._live: tuple[int, int, int, int] | None = None
+        self._live_frame: np.ndarray | None = None
 
     def measure_depth(self, true_depth: float) -> float:
         if self.depth_noise_sigma > 0:
             return true_depth + self.depth_noise_sigma * self._rng.standard_normal()
         return true_depth
 
+    def _region(self, events: np.ndarray):
+        """This bin's update box: the live box and the events, widened by the kernel radius."""
+        boxes = [self._live] if self._live is not None else []
+        if len(events):
+            ys, xs = events["y"], events["x"]
+            boxes.append((int(ys.min()), int(ys.max()) + 1, int(xs.min()), int(xs.max()) + 1))
+        if not boxes:
+            return 0, 0, 0, 0
+        y0, y1, x0, x1 = zip(*boxes)
+        kh, kw = np.shape(self.config.kernel)
+        h, w = self.camera.shape
+        return (max(min(y0) - kh // 2, 0), min(max(y1) + kh // 2, h),
+                max(min(x0) - kw // 2, 0), min(max(x1) + kw // 2, w))
+
     def process_bin(
         self, events: np.ndarray, t: float, true_depth: float
     ) -> GateTrack | None:
         """Consume one sensing bin of events; returns a track when a box is found."""
-        frame = events_to_frame(events, self.camera.shape)
-        self.membrane, spikes = lif_step(self.membrane, self.config, frame)
+        region = y0, y1, x0, x1 = self._region(events)
+        frame = events_to_frame(events, (y1 - y0, x1 - x0), (y0, x0))
+        membrane, spikes = lif_step(self.membrane[y0:y1, x0:x1], self.config, frame)
+        self.membrane[y0:y1, x0:x1] = membrane
         box = None
-        if self.prev_frame is not None:
-            box = track_bbox(spikes, self.prev_frame)
-        self.prev_frame = frame
+        if self._live is not None:
+            # the region holds the previous one, so every event a spike's
+            # neighbourhood can recover lies on this crop
+            prev = self._live_frame
+            if self._live != region:
+                prev = np.zeros_like(frame)
+                py0, py1, px0, px1 = self._live
+                prev[py0 - y0:py1 - y0, px0 - x0:px1 - x0] = self._live_frame
+            found = track_bbox(spikes, prev)
+            if found is not None:
+                box = make_bbox(found.x_min + x0, found.x_max + x0,
+                                found.y_min + y0, found.y_max + y0)
+        if y0 < y1:  # else no events and nothing live: no state to keep
+            self._live, self._live_frame = region, frame
         if box is None:
             return None
         depth = self.measure_depth(true_depth)

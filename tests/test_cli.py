@@ -1,5 +1,6 @@
 import pytest
 
+from gatesim import harness
 from gatesim.cli import main
 from gatesim.harness import EpisodeConfig, write_episode_config, write_grid_cells_csv
 from gatesim.harness import GridCell
@@ -139,6 +140,18 @@ def test_train_pgnn_rejects_bad_dataset(tmp_path, capsys, text, name):
     assert err.startswith("error:") and name in err
 
 
+@pytest.mark.parametrize("depth", ["nan", "-2", "0"])
+def test_train_pgnn_rejects_bad_depth(tmp_path, capsys, depth):
+    data_path = tmp_path / "dataset.csv"
+    data_path.write_text(f"depth,v_star,k1,k2,k3,k4,k5\n2,8,1,1,1,1,1\n{depth},8,1,1,1,1,1\n")
+    out = tmp_path / "p.npz"
+    code = main(["train-pgnn", "--dataset", str(data_path), "--epochs", "3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3 of") and "depth must be finite and positive" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["benchmark", "ablation"])
 @pytest.mark.parametrize("runs", ["0", "-2"])
 def test_suites_reject_run_counts_below_one(tmp_path, capsys, command, runs):
@@ -180,3 +193,23 @@ def test_benchmark_rejects_bad_grid(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "gate_y0" in err
+
+
+def test_benchmark_rejects_bad_grid_row_before_training(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = harness.build_default_models
+
+    def counting_build(**kwargs):
+        builds.append(kwargs)
+        return build(**kwargs)
+
+    monkeypatch.setattr(harness, "build_default_models", counting_build)
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text("drone_x,drone_y,gate_y0\n2,0,2\n-5,0,2\n")
+    out = tmp_path / "o.csv"
+    code = main(["benchmark", "--grid", str(grid_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3 of") and "drone_x = -5.0" in err
+    assert builds == []
+    assert not out.exists()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gatesim.errors import NonPositiveDepth
 from gatesim.scene import (
+    EVENT_DTYPE,
     CameraModel,
     EventCameraSim,
     GateState,
@@ -129,9 +130,9 @@ class TestEventGeneration:
         gate = self.cfg.gate()
         moved = step_gate(gate, 0.05)  # several-pixel displacement
         events = generate_events(self.cam, gate, moved, 0.05)
-        union = annulus_mask(self.cam, gate) | annulus_mask(self.cam, moved)
+        union = np.union1d(annulus_mask(self.cam, gate), annulus_mask(self.cam, moved))
         assert len(events) > 0
-        assert union[events["y"], events["x"]].all()
+        assert np.isin(events["y"] * self.cam.width + events["x"], union).all()
 
     def test_events_within_sensor_bounds(self):
         sim = EventCameraSim(self.cfg)
@@ -177,8 +178,7 @@ class TestAnnulus:
     def test_ring_radius_in_pixels(self):
         cfg = WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0)
         cam = cfg.camera()
-        mask = annulus_mask(cam, cfg.gate())
-        ys, xs = np.nonzero(mask)
+        ys, xs = np.divmod(annulus_mask(cam, cfg.gate()), cam.width)
         rho = np.hypot(xs - 320.0, ys - 240.0)
         r_expected = 500.0 * 1.0 / 4.0  # focal * radius / depth
         assert rho.min() == pytest.approx(r_expected - 1.0, abs=1.0)
@@ -188,8 +188,7 @@ class TestAnnulus:
         cfg = WorldConfig(gate_y0=0.5, gate_speed=0.0, drone_x=2.0)
         cam = cfg.camera()
         box = annulus_bbox(cam, cfg.gate())
-        mask = annulus_mask(cam, cfg.gate())
-        ys, xs = np.nonzero(mask)
+        ys, xs = np.divmod(annulus_mask(cam, cfg.gate()), cam.width)
         assert box == (xs.min(), xs.max(), ys.min(), ys.max())
 
     def test_invisible_gate_has_no_bbox(self):
@@ -214,7 +213,13 @@ class TestAnnulus:
             threshold = 1.0 if i % 10 == 0 else rng.uniform(1e-6, 1.0)
             thickness = rng.uniform(0.5, 4.0)
             expected = self._reference_mask(cam, gate, thickness, threshold)
-            np.testing.assert_array_equal(annulus_mask(cam, gate, thickness, threshold), expected)
+            np.testing.assert_array_equal(annulus_mask(cam, gate, thickness, threshold),
+                                          np.flatnonzero(expected))
+
+    def test_off_screen_ring_covers_nothing(self):
+        cam = CameraModel(position=(2.0, -30.0, 0.0))
+        pixels = annulus_mask(cam, GateState(y=2.0, velocity=0.0))
+        assert pixels.dtype == np.int64 and len(pixels) == 0
 
     @pytest.mark.parametrize("threshold, thickness, name", [
         (0.0, 2.0, "event_threshold"), (1.01, 2.0, "event_threshold"),
@@ -227,6 +232,40 @@ class TestAnnulus:
         with pytest.raises(ValueError, match=name):
             WorldConfig(gate_y0=0.0, gate_speed=0.0, event_threshold=threshold,
                         ring_thickness_px=thickness)
+
+
+class _DenseEventCamera(EventCameraSim):
+    """The full-frame event path: dense masks, XOR, nonzero, then spurious events."""
+
+    def _dense_mask(self, gate):
+        cfg = self.config
+        return TestAnnulus._reference_mask(
+            self.camera, gate, cfg.ring_thickness_px, cfg.event_threshold)
+
+    def step(self):
+        before = self._dense_mask(self.gate)
+        self.gate = step_gate(self.gate, self.config.frame_dt)
+        self.time += self.config.frame_dt
+        after = self._dense_mask(self.gate)
+        ys, xs = np.nonzero(before ^ after)
+        events = np.empty(len(ys), dtype=EVENT_DTYPE)
+        events["t"] = self.time
+        events["x"] = xs
+        events["y"] = ys
+        events["p"] = np.where(after[ys, xs], 1, -1)
+        if self.config.spurious_rate > 0:
+            events = self._add_spurious(events)
+        return self.time, self.gate, events
+
+
+def test_step_events_equal_dense_reference(oracle_world):
+    sparse, dense = EventCameraSim(oracle_world), _DenseEventCamera(oracle_world)
+    for _ in range(12):
+        t, gate, events = sparse.step()
+        t_ref, gate_ref, expected = dense.step()
+        assert (t, gate) == (t_ref, gate_ref)
+        assert events.dtype == expected.dtype
+        assert events.tobytes() == expected.tobytes()  # values and order
 
 
 @pytest.mark.parametrize("overrides, name", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatesim import tracker as tracker_mod
 from gatesim.errors import (
     DimensionMismatch,
     InvalidExtents,
@@ -287,3 +288,49 @@ def test_track_csv_format(tmp_path):
     assert lines[0] == "t,center_x,center_y,depth,world_y"
     assert len(lines) == 3
     assert lines[1].startswith("0.100000,340,240,4.000000,0.500000")
+
+
+class _DenseTracker(SnnGateTracker):
+    """The full-grid pipeline: np.add.at event counts, then lif_step and
+    track_bbox over the whole sensor; records each bin's spike count."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prev_frame = None
+        self.spike_counts = []
+
+    def process_bin(self, events, t, true_depth):
+        frame = np.zeros(self.camera.shape, dtype=np.int32)
+        np.add.at(frame, (events["y"], events["x"]), 1)
+        self.membrane, spikes = lif_step(self.membrane, self.config, frame)
+        self.spike_counts.append(int(spikes.sum()))
+        box = None
+        if self.prev_frame is not None:
+            box = track_bbox(spikes, self.prev_frame)
+        self.prev_frame = frame
+        if box is None:
+            return None
+        depth = self.measure_depth(true_depth)
+        wx, wy, wz = pixel_center_to_world((box.center_x, box.center_y), depth, self.camera)
+        return GateTrack(wx, wy, wz, box.center_x, box.center_y, depth, t)
+
+
+def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
+    spike_counts = []
+
+    def counting_lif_step(grid, config, frame):
+        membrane, spikes = lif_step(grid, config, frame)
+        spike_counts.append(int(spikes.sum()))
+        return membrane, spikes
+
+    monkeypatch.setattr(tracker_mod, "lif_step", counting_lif_step)
+    cam = oracle_world.camera()
+    sparse = SnnGateTracker(cam, depth_noise_sigma=0.05, seed=oracle_world.seed)
+    dense = _DenseTracker(cam, depth_noise_sigma=0.05, seed=oracle_world.seed)
+    sim = EventCameraSim(oracle_world)
+    for _ in range(8):
+        events = np.concatenate([sim.step()[2] for _ in range(10)])
+        track = sparse.process_bin(events, sim.time, oracle_world.depth)
+        assert track == dense.process_bin(events, sim.time, oracle_world.depth)
+        assert sparse.membrane.tobytes() == dense.membrane.tobytes()
+        assert spike_counts == dense.spike_counts
