@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,18 @@ class TestTraining:
                 other.trainable() + other.bn_mean + other.bn_var,
             ):
                 assert np.array_equal(a, b)
+
+    def test_fifty_epochs_pinned(self, dataset):
+        # Pins the trained bits of full-batch Adam (lr 1e-3, BN momentum 0.9):
+        # parameters, running statistics and the loss history.
+        params, history = train_pgnn(dataset, TrainConfig(epochs=50))
+        digest = hashlib.sha256()
+        for arr in params.trainable() + params.bn_mean + params.bn_var:
+            digest.update(arr.tobytes())
+        digest.update(np.array(history).tobytes())
+        assert digest.hexdigest() == (
+            "44a33b09bcfe4392efc22b13a8934a32ad93d96eb93df42768e31d700acf4432"
+        )
 
     def test_minibatch_mode_runs(self, dataset):
         params, history = train_pgnn(

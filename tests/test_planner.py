@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatesim.errors import NonPositiveDuration, OutOfDomain
 from gatesim.planner import (
+    InterceptResult,
     MinJerkTrajectory,
     PlannerInput,
     min_jerk_trajectory,
@@ -16,7 +17,63 @@ from gatesim.planner import (
 from gatesim.scene import GateState, step_gate
 
 
+def two_branch_intercept(inp: PlannerInput) -> InterceptResult:
+    """Reference intercept: separate right- and left-moving case analyses."""
+    if inp.y1 == inp.y2:
+        d2 = inp.bound - abs(inp.y2)
+        return InterceptResult(inp.y2, False, 0.0, d2, stationary=True)
+
+    v_r = (inp.y2 - inp.y1) / inp.dt
+    d1 = abs(v_r) * inp.t_traj
+    L, y2 = inp.bound, inp.y2
+
+    def fold():
+        gate = GateState(y=float(np.clip(y2, -L, L)), velocity=v_r, bound=L)
+        return step_gate(gate, inp.t_traj).y
+
+    if y2 > inp.y1:
+        if y2 > 0:
+            d2 = L - y2
+        else:
+            d2 = L + abs(y2)
+        if d1 - d2 > 2.0 * L:
+            return InterceptResult(fold(), True, d1, d2, clamped=True)
+        if d1 > d2:
+            return InterceptResult(L - d1 + d2, True, d1, d2)
+        return InterceptResult(y2 + d1, False, d1, d2)
+
+    if y2 < 0:
+        d2 = abs(-L - y2)
+    else:
+        d2 = L + y2
+    if d1 - d2 > 2.0 * L:
+        return InterceptResult(fold(), True, d1, d2, clamped=True)
+    if d1 > d2:
+        return InterceptResult(-L + d1 - d2, True, d1, d2)
+    return InterceptResult(y2 - d1, False, d1, d2)
+
+
+# fractions of the bound, with the walls and both zeros drawn often
+UNIT = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+
+
 class TestPredictIntercept:
+    @given(
+        bound=st.floats(0.1, 10.0),
+        u1=UNIT,
+        u2=UNIT,
+        t_traj=st.floats(1e-3, 20.0),
+        dt=st.floats(1e-3, 1.0),
+    )
+    @example(bound=2.0, u1=0.9, u2=1.0, t_traj=0.5, dt=0.1)
+    @example(bound=2.0, u1=-0.9, u2=-1.0, t_traj=0.5, dt=0.1)
+    @example(bound=2.0, u1=0.1, u2=-0.0, t_traj=0.5, dt=0.1)
+    @example(bound=2.0, u1=-0.1, u2=0.0, t_traj=0.5, dt=0.1)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_two_branch_reference(self, bound, u1, u2, t_traj, dt):
+        inp = PlannerInput(t_traj, bound, u1 * bound, u2 * bound, dt)
+        assert predict_intercept(inp) == two_branch_intercept(inp)
+
     def test_straight_run_moving_right(self):
         res = predict_intercept(PlannerInput(1.0, 2.0, 0.4, 0.5, 0.1))
         assert res.y_star == pytest.approx(1.5, abs=1e-12)
