@@ -76,6 +76,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     cells = harness.load_grid_csv(args.grid) if args.grid else harness.default_success_grid()
+    harness.check_run_args(args.runs, args.seed)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     results = harness.success_rate_grid(
         cells, models, runs=args.runs, base_seed=args.seed
@@ -86,6 +87,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
+    harness.check_run_args(args.runs, args.seed)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     cells = harness.ablation_matrix(models, runs=args.runs, base_seed=args.seed)
     harness.write_ablation_csv(cells, args.out)

@@ -113,11 +113,13 @@ class TrainingSample:
     constraint: np.ndarray  # k1..k5 of dE/dv
     at_endpoint: bool = False
 
-    def constraint_residual(self, v=None) -> float:
-        """dE/dv evaluated at v (default: the sample's own v_star)."""
-        v = self.v_star if v is None else v
-        powers = v ** np.arange(5)
-        return float(np.sum(np.arange(1, 6) * self.constraint * powers))
+
+def physics_term(constraints: np.ndarray, velocities: np.ndarray) -> float:
+    """Stationarity penalty: sum_i sum_j j * k_ij * v_i^(j-1), the sum of
+    each sample's dE/dv at its velocity."""
+    j = np.arange(1, 6)
+    powers = velocities[:, None] ** (j - 1)
+    return float(np.sum(j * constraints * powers))
 
 
 def build_dataset(

@@ -338,6 +338,14 @@ def derive_run_config(
     )
 
 
+def check_run_args(runs: int, base_seed: int) -> None:
+    """Reject a run count below one or a negative base seed."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
+
+
 def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,
                template: EpisodeConfig, combos) -> list[tuple]:
     """Run every (perception, planner) combo on each cell's seeded worlds.
@@ -346,10 +354,7 @@ def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,
     per episode, ordered by cell, then run, then combo.  All combos of one
     (cell, run) pair fly the same world.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
+    check_run_args(runs, base_seed)
     rows = []
     for ci, cell in enumerate(cells):
         for run in range(runs):

@@ -1,12 +1,13 @@
 """Physics-regularized velocity predictor: a small MLP trained from scratch.
 
 A depth-to-velocity regression network (hidden sizes 64/128/128, batch norm
-after each hidden layer, rectifier activations) trained with mean-square
-error plus a stationarity penalty built from each sample's energy-derivative
-coefficients.  The penalty is evaluated at the samples' target velocities,
-not at the network's predictions, so it is a constant with zero gradient:
-the regularization coefficient changes the reported loss but not the trained
-network, and lam=0 (the "vanilla" ablation variant) trains to the same bits.
+after each hidden layer, rectifier activations) trained by full-batch
+adaptive-moment steps on mean-square error plus a stationarity penalty built
+from each sample's energy-derivative coefficients.  The penalty is evaluated
+at the samples' target velocities, not at the network's predictions, so it
+is a constant with zero gradient: the regularization coefficient changes the
+reported loss but not the trained network, and lam=0 (the "vanilla" ablation
+variant) trains to the same bits.
 
 Everything is numpy: forward, analytic backprop (including batch-norm batch
 statistics), and an adaptive-moment optimizer, so seeded training is
@@ -26,12 +27,15 @@ from .errors import (
     NonPositiveDepth,
     NonPositiveVelocity,
 )
+from .fitting import physics_term
 
 HIDDEN_SIZES = (64, 128, 128)
 DEPTH_SCALE = 1.0 / 6.0   # input normalization
 V_MIN = 0.5               # output clamp bounds [m/s]
 V_MAX = 20.0
 BN_EPS = 1e-12
+BN_MOMENTUM = 0.9         # running-statistics update per training step
+LEARNING_RATE = 1e-3      # adaptive-moment step size
 
 
 @dataclass
@@ -54,18 +58,18 @@ class MlpParams:
         return [*self.weights, *self.biases, *self.bn_gamma, *self.bn_beta]
 
 
-def init_params(seed: int = 0, hidden_sizes=HIDDEN_SIZES) -> MlpParams:
+def init_params(seed: int = 0) -> MlpParams:
     """He-initialized parameters; the output layer starts near zero so the
     clamped prediction starts mid-range."""
     rng = np.random.default_rng(seed)
-    sizes = [1, *hidden_sizes, 1]
+    sizes = [1, *HIDDEN_SIZES, 1]
     params = MlpParams()
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = np.sqrt(2.0 / fan_in)
         params.weights.append(rng.normal(0.0, scale, (fan_in, fan_out)))
         params.biases.append(np.zeros(fan_out))
     params.weights[-1] *= 0.1
-    for width in hidden_sizes:
+    for width in HIDDEN_SIZES:
         params.bn_gamma.append(np.ones(width))
         params.bn_beta.append(np.zeros(width))
         params.bn_mean.append(np.zeros(width))
@@ -134,13 +138,6 @@ def _sample_arrays(samples):
     return depths, targets, constraints
 
 
-def physics_term(constraints: np.ndarray, velocities: np.ndarray) -> float:
-    """Stationarity penalty: sum_i sum_j j * k_ij * v_i^(j-1)."""
-    j = np.arange(1, 6)
-    powers = velocities[:, None] ** (j - 1)
-    return float(np.sum(j * constraints * powers))
-
-
 def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, float, float]:
     """(mse, physics, total) for given predictions; pure arithmetic.
 
@@ -154,7 +151,7 @@ def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, flo
     return mse, phys, mse + lam * phys
 
 
-def pgnn_loss(params: MlpParams, samples, lam: float, mode: str = "train") -> float:
+def pgnn_loss(params: MlpParams, samples, lam: float) -> float:
     """Mean-square velocity error plus lam times the stationarity penalty.
 
     The penalty is evaluated at each sample's ground-truth velocity (the
@@ -162,11 +159,11 @@ def pgnn_loss(params: MlpParams, samples, lam: float, mode: str = "train") -> fl
     leaves its gradient, and the trained network, unchanged.
     """
     depths, _, _ = _sample_arrays(samples)
-    v, _ = _forward(params, depths, mode)
+    v, _ = _forward(params, depths, "train")
     return loss_terms(v, samples, lam)[2]
 
 
-def pgnn_loss_grads(params: MlpParams, samples, lam: float, mode: str = "train"):
+def pgnn_loss_grads(params: MlpParams, samples, lam: float):
     """Loss and analytic gradients for every trainable array.
 
     Returns (loss, grads, batch_stats) with grads ordered like
@@ -174,7 +171,7 @@ def pgnn_loss_grads(params: MlpParams, samples, lam: float, mode: str = "train")
     during the pass (used to update running statistics).
     """
     depths, targets, _ = _sample_arrays(samples)
-    v, caches = _forward(params, depths, mode)
+    v, caches = _forward(params, depths, "train")
     loss = loss_terms(v, samples, lam)[2]
     dv = 2.0 * (v - targets) / len(depths)
 
@@ -198,14 +195,11 @@ def pgnn_loss_grads(params: MlpParams, samples, lam: float, mode: str = "train")
         grads_g[i] = (dy * cache["xhat"]).sum(axis=0)
         grads_s[i] = dy.sum(axis=0)
         dxhat = dy * params.bn_gamma[i]
-        if mode == "train":
-            da = cache["inv"] * (
-                dxhat
-                - dxhat.mean(axis=0)
-                - cache["xhat"] * (dxhat * cache["xhat"]).mean(axis=0)
-            )
-        else:
-            da = dxhat * cache["inv"]
+        da = cache["inv"] * (
+            dxhat
+            - dxhat.mean(axis=0)
+            - cache["xhat"] * (dxhat * cache["xhat"]).mean(axis=0)
+        )
         grads_w[i] = cache["h"].T @ da
         grads_b[i] = da.sum(axis=0)
         dh = da @ params.weights[i].T
@@ -217,7 +211,8 @@ def pgnn_loss_grads(params: MlpParams, samples, lam: float, mode: str = "train")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
+    """Training hyperparameters; the step size and batch-norm momentum are
+    the module constants LEARNING_RATE and BN_MOMENTUM.
 
     ``lam`` scales the reported physics term only: the penalty is constant
     in the parameters, so any lam >= 0 trains the same network.
@@ -225,71 +220,52 @@ class TrainConfig:
 
     lam: float = 1e-4
     epochs: int = 2000
-    learning_rate: float = 1e-3
-    batch_size: int | None = None  # None -> full dataset
     seed: int = 0
-    bn_momentum: float = 0.9
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def train_pgnn(samples, config: TrainConfig = TrainConfig()):
-    """Train the network with adaptive-moment gradient descent.
+    """Train the network with full-batch adaptive-moment gradient descent.
 
-    Full-batch by default; seeded and bit-reproducible.  Returns the trained
+    One step per epoch; seeded and bit-reproducible.  Returns the trained
     parameters and the loss history as (epoch, mse, physics, total) rows.
     Raises DivergenceDetected when the loss becomes non-finite.
     """
     if len(samples) < 8:
         raise EmptyDataset(f"need >= 8 training samples, got {len(samples)}")
     params = init_params(config.seed)
-    rng = np.random.default_rng(config.seed + 1)
-    n = len(samples)
-    batch = n if config.batch_size is None else min(config.batch_size, n)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m_state = [np.zeros_like(a) for a in params.trainable()]
     v_state = [np.zeros_like(a) for a in params.trainable()]
-    step = 0
     history = []
 
     for epoch in range(config.epochs):
-        order = np.arange(n) if batch == n else rng.permutation(n)
-        for start in range(0, n, batch):
-            chunk = [samples[i] for i in order[start:start + batch]]
-            loss, grads, batch_stats = pgnn_loss_grads(params, chunk, config.lam, "train")
-            if not np.isfinite(loss):
-                raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
-            step += 1
-            arrays = params.trainable()
-            for k, (arr, grad) in enumerate(zip(arrays, grads)):
-                m_state[k] = beta1 * m_state[k] + (1 - beta1) * grad
-                v_state[k] = beta2 * v_state[k] + (1 - beta2) * grad**2
-                m_hat = m_state[k] / (1 - beta1**step)
-                v_hat = v_state[k] / (1 - beta2**step)
-                arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-            mom = config.bn_momentum
-            for i, (mu, var) in enumerate(batch_stats):
-                params.bn_mean[i] = mom * params.bn_mean[i] + (1 - mom) * mu
-                params.bn_var[i] = mom * params.bn_var[i] + (1 - mom) * var
+        loss, grads, batch_stats = pgnn_loss_grads(params, samples, config.lam)
+        if not np.isfinite(loss):
+            raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
+        step = epoch + 1
+        for k, (arr, grad) in enumerate(zip(params.trainable(), grads)):
+            m_state[k] = beta1 * m_state[k] + (1 - beta1) * grad
+            v_state[k] = beta2 * v_state[k] + (1 - beta2) * grad**2
+            m_hat = m_state[k] / (1 - beta1**step)
+            v_hat = v_state[k] / (1 - beta2**step)
+            arr -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
+        for i, (mu, var) in enumerate(batch_stats):
+            params.bn_mean[i] = BN_MOMENTUM * params.bn_mean[i] + (1 - BN_MOMENTUM) * mu
+            params.bn_var[i] = BN_MOMENTUM * params.bn_var[i] + (1 - BN_MOMENTUM) * var
 
         preds, _ = _forward(params, np.array([s.depth for s in samples]), "infer")
         history.append((epoch, *loss_terms(preds, samples, config.lam)))
 
     return params, history
-
-
-@dataclass(frozen=True)
-class PgnnOutput:
-    """Network prediction for one depth plus the derived flight time."""
-
-    v_pred: float
-    t_traj: float
-    depth: float
 
 
 def trajectory_time(v_pred: float, depth: float) -> float:
@@ -299,12 +275,6 @@ def trajectory_time(v_pred: float, depth: float) -> float:
     if depth <= 0:
         raise NonPositiveDepth(f"depth {depth} is not positive")
     return depth / v_pred
-
-
-def predict(params: MlpParams, depth: float) -> PgnnOutput:
-    """Inference-mode prediction bundled with its trajectory time."""
-    v = mlp_forward(params, float(depth), "infer")
-    return PgnnOutput(v, trajectory_time(v, float(depth)), float(depth))
 
 
 # npz key prefix of each MlpParams list, in file order

@@ -71,7 +71,8 @@ def _simulate_fold(y2: float, v_r: float, bound: float, t: float) -> float:
 def predict_intercept(inp: PlannerInput) -> InterceptResult:
     """Case analysis of the bouncing gate over the flight time.
 
-    A stationary gate (y1 == y2) short-circuits to y2.  Horizons implying
+    A stationary gate (y1 == y2) short-circuits to y2.  A left-moving gate
+    is solved as the mirror image of a right-moving one.  Horizons implying
     two or more wall contacts fall outside the case analysis and are
     resolved by simulating the bounce kinematics directly (flagged).
     """
@@ -81,32 +82,16 @@ def predict_intercept(inp: PlannerInput) -> InterceptResult:
 
     v_r = (inp.y2 - inp.y1) / inp.dt
     d1 = abs(v_r) * inp.t_traj
-    L, y2 = inp.bound, inp.y2
-
-    if y2 > inp.y1:
-        # Gate moving right.
-        if y2 > 0:
-            d2 = L - y2
-        else:
-            d2 = L + abs(y2)
-        if d1 - d2 > 2.0 * L:
-            y_star = _simulate_fold(y2, v_r, L, inp.t_traj)
-            return InterceptResult(y_star, True, d1, d2, clamped=True)
-        if d1 > d2:
-            return InterceptResult(L - d1 + d2, True, d1, d2)
-        return InterceptResult(y2 + d1, False, d1, d2)
-
-    # Gate moving left.
-    if y2 < 0:
-        d2 = abs(-L - y2)
-    else:
-        d2 = L + y2
+    L = inp.bound
+    sign = 1.0 if inp.y2 > inp.y1 else -1.0
+    y = sign * inp.y2  # position along the direction of travel
+    d2 = L - y
     if d1 - d2 > 2.0 * L:
-        y_star = _simulate_fold(y2, v_r, L, inp.t_traj)
+        y_star = _simulate_fold(inp.y2, v_r, L, inp.t_traj)
         return InterceptResult(y_star, True, d1, d2, clamped=True)
     if d1 > d2:
-        return InterceptResult(-L + d1 - d2, True, d1, d2)
-    return InterceptResult(y2 - d1, False, d1, d2)
+        return InterceptResult(sign * (L - d1 + d2), True, d1, d2)
+    return InterceptResult(sign * (y + d1), False, d1, d2)
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def test_criterion_5_gradient_check(dataset):
     params = pgnn.init_params(0)
     lam = 1e-2
     depths = np.array([s.depth for s in dataset])
-    _, grads, _ = pgnn.pgnn_loss_grads(params, dataset, lam, "train")
+    _, grads, _ = pgnn.pgnn_loss_grads(params, dataset, lam)
     arrays = params.trainable()
     rng = np.random.default_rng(3)
     eps = 1e-5

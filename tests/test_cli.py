@@ -7,6 +7,20 @@ from gatesim.harness import GridCell
 from gatesim.pgnn import load_params, mlp_forward
 
 
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Records each call of harness.build_default_models (each trains)."""
+    calls = []
+    build = harness.build_default_models
+
+    def counting_build(**kwargs):
+        calls.append(kwargs)
+        return build(**kwargs)
+
+    monkeypatch.setattr(harness, "build_default_models", counting_build)
+    return calls
+
+
 def test_profile_energy(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     code = main(["profile-energy", "--depth", "4", "--depth", "6", "--out", str(out)])
@@ -98,6 +112,12 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     code = main(["profile-energy", "--depth", "-4", "--out", str(tmp_path / "x.csv")])
     assert code == 1
 
+    cfg_path = tmp_path / "episode.ini"
+    write_episode_config(EpisodeConfig(), cfg_path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--model-seed", "-3"]) == 1
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("text, name", [
     ("[world]\ngate_sped = 3.0\n", "gate_sped"),
@@ -154,22 +174,26 @@ def test_train_pgnn_rejects_bad_depth(tmp_path, capsys, depth):
 
 @pytest.mark.parametrize("command", ["benchmark", "ablation"])
 @pytest.mark.parametrize("runs", ["0", "-2"])
-def test_suites_reject_run_counts_below_one(tmp_path, capsys, command, runs):
+def test_suites_reject_run_counts_below_one(tmp_path, capsys, build_calls, command, runs):
     out = tmp_path / "out.csv"
     code = main([command, "--out", str(out), "--runs", runs, "--epochs", "1"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "runs" in err
+    assert build_calls == []
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["benchmark", "ablation"])
-def test_suites_reject_negative_seed(tmp_path, capsys, command):
+def test_suites_reject_negative_seed(tmp_path, capsys, build_calls, command):
     out = tmp_path / "out.csv"
     code = main([command, "--out", str(out), "--seed", "-5", "--epochs", "1"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
+    assert build_calls == []
+    assert main([command, "--out", str(out), "--model-seed", "-3"]) == 1
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -177,6 +201,7 @@ def test_suites_reject_negative_seed(tmp_path, capsys, command):
     (["profile-energy", "--depth", "nan"], "depth"),
     (["profile-energy", "--depth", "4", "--depth", "inf"], "depth"),
     (["train-pgnn", "--lambda", "nan", "--epochs", "1"], "lam"),
+    (["train-pgnn", "--seed", "-1", "--epochs", "1"], "seed"),
 ])
 def test_non_finite_arguments_rejected(tmp_path, capsys, argv, name):
     out = tmp_path / "out"
@@ -195,15 +220,7 @@ def test_benchmark_rejects_bad_grid(tmp_path, capsys):
     assert err.startswith("error:") and "gate_y0" in err
 
 
-def test_benchmark_rejects_bad_grid_row_before_training(tmp_path, capsys, monkeypatch):
-    builds = []
-    build = harness.build_default_models
-
-    def counting_build(**kwargs):
-        builds.append(kwargs)
-        return build(**kwargs)
-
-    monkeypatch.setattr(harness, "build_default_models", counting_build)
+def test_benchmark_rejects_bad_grid_row_before_training(tmp_path, capsys, build_calls):
     grid_path = tmp_path / "grid.csv"
     grid_path.write_text("drone_x,drone_y,gate_y0\n2,0,2\n-5,0,2\n")
     out = tmp_path / "o.csv"
@@ -211,5 +228,5 @@ def test_benchmark_rejects_bad_grid_row_before_training(tmp_path, capsys, monkey
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 3 of") and "drone_x = -5.0" in err
-    assert builds == []
+    assert build_calls == []
     assert not out.exists()

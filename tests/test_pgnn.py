@@ -125,7 +125,7 @@ class TestGradients:
         params = init_params(0)
         samples = dataset[:10]
         depths = np.array([s.depth for s in samples])
-        _, grads, _ = pgnn_loss_grads(params, samples, 1e-2, "train")
+        _, grads, _ = pgnn_loss_grads(params, samples, 1e-2)
         arrays = params.trainable()
         rng = np.random.default_rng(4)
         eps = 1e-5
@@ -220,13 +220,6 @@ class TestTraining:
             "44a33b09bcfe4392efc22b13a8934a32ad93d96eb93df42768e31d700acf4432"
         )
 
-    def test_minibatch_mode_runs(self, dataset):
-        params, history = train_pgnn(
-            dataset, TrainConfig(epochs=20, batch_size=8, seed=1)
-        )
-        assert len(history) == 20
-        assert np.isfinite(history[-1][3])
-
 
 class TestTrajectoryTime:
     def test_examples(self):
@@ -239,12 +232,6 @@ class TestTrajectoryTime:
             trajectory_time(0.0, 4.0)
         with pytest.raises(NonPositiveDepth):
             trajectory_time(8.0, 0.0)
-
-    def test_predict_bundles_time(self, dataset):
-        params, _ = train_pgnn(dataset, TrainConfig(epochs=30))
-        out = pgnn.predict(params, 4.0)
-        assert out.t_traj == pytest.approx(4.0 / out.v_pred, rel=1e-12)
-        assert out.v_pred > 0
 
 
 def test_params_roundtrip(tmp_path, dataset):

@@ -132,6 +132,14 @@ class TestPredictIntercept:
         b = predict_intercept(PlannerInput(t_traj, 2.0, -y1, -y2, 0.1))
         assert a.y_star == pytest.approx(-b.y_star, abs=1e-9)
 
+    def test_mirror_symmetry_is_exact_past_the_wall(self):
+        # PlannerInput accepts positions up to 1e-9 beyond the wall; a
+        # left-moving gate there is the exact mirror of a right-moving one
+        a = predict_intercept(PlannerInput(0.5, 2.0, -1.9, -2.0 - 5e-10, 0.1))
+        b = predict_intercept(PlannerInput(0.5, 2.0, 1.9, 2.0 + 5e-10, 0.1))
+        assert a.y_star == -b.y_star
+        assert (a.direction_changed, a.d1, a.d2) == (b.direction_changed, b.d1, b.d2)
+
     def test_multi_bounce_clamped_to_kinematics(self):
         # gate travels 4.5 corridor widths: far outside the case analysis
         inp = PlannerInput(t_traj=9.0, bound=2.0, y1=0.4, y2=0.5, dt=0.1)
