@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -197,6 +198,54 @@ class TestRunEpisode:
         res = run_episode(EpisodeConfig(planner_mode="vanilla-ann", seed=2),
                           quick_models)
         assert res.t_traj > 0
+
+
+# Seeded episodes outside perfbench's reference: noisy depth readings in
+# both perception modes, and event episodes that lose tracking.
+PINNED_EPISODES = {
+    "depth-noisy": (
+        [EpisodeConfig(perception_mode="depth-baseline", depth_noise_sigma=0.05, seed=s)
+         for s in (1, 2, 3)]
+        + [EpisodeConfig(perception_mode="depth-baseline", depth_noise_sigma=0.2,
+                         drone_x=0.5, drone_y=-1.0, gate_y0=-1.5, gate_speed=-0.7, seed=9)],
+        "26606fc1b52caeb67bc125bdbf5807c4fb0713ab4204df962d110341eff03d0b",
+    ),
+    "event-noisy": (
+        [EpisodeConfig(spurious_rate=1e5, depth_noise_sigma=0.05, seed=4),
+         EpisodeConfig(spurious_rate=3e5, depth_noise_sigma=0.2, drone_x=1.0,
+                       drone_y=1.0, gate_y0=-1.0, gate_speed=0.8, seed=6)],
+        "3006b691b30b54141827df6728362fbdd1593c6401c9ea502e5366276bcc319d",
+    ),
+    "event-lost": (
+        [EpisodeConfig(max_sensing_bins=1, depth_noise_sigma=0.1, seed=1),
+         EpisodeConfig(drone_x=0.0, drone_y=-2.0, gate_y0=1.95, gate_speed=0.2,
+                       depth_noise_sigma=0.1, seed=1)],
+        "f3b8a4876e3190662a68e12565c4b6576930168a789ae3d399462c7b15e75d5c",
+    ),
+}
+
+
+def _result_digest(results) -> str:
+    """sha256 over every field of each result, floats as exact hex."""
+    digest = hashlib.sha256()
+    for result in results:
+        for f in fields(result):
+            value = getattr(result, f.name)
+            if f.name == "timing":
+                text = ",".join(f"{k}={float(v).hex()}" for k, v in value.items())
+            else:
+                text = float(value).hex()
+            digest.update(f"{f.name}:{text};".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(PINNED_EPISODES))
+def test_episode_outputs_pinned(quick_models, case):
+    configs, expected = PINNED_EPISODES[case]
+    results = [run_episode(cfg, quick_models) for cfg in configs]
+    if case == "event-lost":
+        assert all(r.tracking_lost for r in results)
+    assert _result_digest(results) == expected
 
 
 class TestRunDerivation:
