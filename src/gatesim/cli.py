@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     cells = harness.load_grid_csv(args.grid) if args.grid else harness.default_success_grid()
-    harness.check_run_args(args.runs, args.seed)
+    harness.check_run_args(args.runs, args.seed, cells)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     results = harness.success_rate_grid(
         cells, models, runs=args.runs, base_seed=args.seed

@@ -17,10 +17,6 @@ class InvalidExtents(GateSimError):
     """Bounding-box extents with min > max."""
 
 
-class ZeroInterval(GateSimError):
-    """Velocity estimation over a non-positive time interval."""
-
-
 class BladeClearanceExceedsRadius(GateSimError):
     """Blade clearance larger than the propeller radius."""
 

@@ -1,9 +1,14 @@
 """Closed-loop episode runner and benchmark suites.
 
-One episode: hover and perceive the moving gate (event-driven spiking tracker
-or a ground-truth depth baseline that pays extra processing latency), predict
-the flight time from depth, predict the gate-plane intercept, fly a
-minimum-jerk path there, and score success and actuation energy.
+One episode runs three stages and scores the result:
+
+- ``perceive``: hover and take two fixes of the moving gate, from the
+  event-driven spiking tracker or from a ground-truth depth baseline that
+  pays extra processing latency; either way the depth reading comes from
+  the one simulated depth sensor here.
+- ``plan``: predict the flight time from depth and the gate-plane intercept
+  from the two fixes, and lay a minimum-jerk path there.
+- ``fly``: the actuation energy of that path.
 
 Suites aggregate seeded episodes into the success-rate grid, the paired
 event-vs-depth energy comparison, and the 2x2 perception/planner ablation.
@@ -32,6 +37,7 @@ from .motor import (
     FlightModel,
 )
 from .planner import (
+    MinJerkTrajectory,
     PlannerInput,
     min_jerk_trajectory,
     predict_intercept,
@@ -39,7 +45,7 @@ from .planner import (
     write_trajectory_csv,
 )
 from .scene import EventCameraSim, WorldConfig, rewind_gate, step_gate
-from .tracker import LifConfig, SnnGateTracker
+from .tracker import GateTrack, LifConfig, SnnGateTracker, pixel_center_to_world
 
 EVENT_LATENCY = 0.2      # perception pipeline delay of the event path [s]
 DEPTH_LATENCY = 2.2      # depth-image pipeline delay: event path + 2 s [s]
@@ -127,58 +133,98 @@ def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
     return PlannerModels(coeffs, flight, params, params)
 
 
-def _perceive_events(cfg: EpisodeConfig, models: PlannerModels):
-    """Run the spiking tracker until two tracks exist.
+@dataclass(frozen=True)
+class Measurement:
+    """Two gate fixes: lateral positions y1, y2 [m] at episode times t1 < t2
+    [s], and the depth reading [m] the planner flies."""
 
-    The tracker warms up on one pre-roll bin (the sensor was already watching
-    before the episode clock starts), then sensing bins are charged against
-    hover time.  Returns (y1, y2, dt_meas, depth_meas, sensing_time) or None
-    when tracking is lost (> 3 consecutive boxless bins or the bin budget).
+    y1: float
+    y2: float
+    t1: float
+    t2: float
+    depth: float
+
+
+def perceive(cfg: EpisodeConfig, models: PlannerModels) -> tuple[Measurement | None, float]:
+    """Two gate fixes and the hover time spent taking them.
+
+    The depth sensor reads the true depth plus, when ``depth_noise_sigma`` is
+    set, Gaussian noise drawn once per fix from ``default_rng(cfg.seed)``.
+
+    Event path: the spiking tracker warms up on one pre-roll bin (the sensor
+    was already watching before the episode clock starts), then sensing bins
+    are charged against hover time.  Each box found is back-projected at a
+    depth reading into a ``GateTrack``.  Returns no measurement when tracking
+    is lost (> 3 consecutive boxless bins or the bin budget).
+
+    Depth path: ground-truth gate positions at time 0 and one sensing
+    interval later, rounded down to a tracker tick but at least one tick; the
+    window still spans two sensing bins of wall-clock hover.
     """
+    rng = np.random.default_rng(cfg.seed)
+
+    def read_depth() -> float:
+        if cfg.depth_noise_sigma > 0:
+            return cfg.depth + cfg.depth_noise_sigma * rng.standard_normal()
+        return cfg.depth
+
+    if cfg.perception_mode == "depth-baseline":
+        gate = cfg.gate()
+        dt = max(np.floor(cfg.sensing_dt * DEPTH_TRACKER_HZ + 1e-9), 1.0) / DEPTH_TRACKER_HZ
+        m = Measurement(gate.y, step_gate(gate, dt).y, 0.0, dt, read_depth())
+        return m, 2.0 * cfg.sensing_dt
+
     frames_per_bin = max(1, round(cfg.sensing_dt / cfg.frame_dt))
     sim = EventCameraSim(
         cfg, start_time=-cfg.sensing_dt, gate=rewind_gate(cfg.gate(), cfg.sensing_dt)
     )
-    tracker = SnnGateTracker(sim.camera, models.lif, cfg.depth_noise_sigma, cfg.seed)
-
-    tracks = []
+    tracker = SnnGateTracker(sim.camera, models.lif)
+    tracks: list[GateTrack] = []
     empty_streak = 0
-    charged_bins = 0
     for bin_idx in range(cfg.max_sensing_bins + 1):
-        chunks = [sim.step()[2] for _ in range(frames_per_bin)]
-        events = np.concatenate(chunks)
-        track = tracker.process_bin(events, sim.time, cfg.depth)
+        events = np.concatenate([sim.step()[2] for _ in range(frames_per_bin)])
+        box = tracker.process_bin(events)
         if bin_idx == 0:
-            continue  # warm-up bin: no previous events to recover from
-        charged_bins += 1
-        if track is None:
+            continue  # warm-up bin: no previous events, so never a box
+        if box is None:
             empty_streak += 1
             if empty_streak > 3:
                 break
-        else:
-            empty_streak = 0
-            tracks.append(track)
-            if len(tracks) == 2:
-                y1, y2 = tracks[0].world_y, tracks[1].world_y
-                dt_meas = tracks[1].t - tracks[0].t
-                return (y1, y2, dt_meas, tracks[1].depth), charged_bins * cfg.sensing_dt
-    # lost: streak too long or the bin budget ran out before two tracks
-    return None, charged_bins * cfg.sensing_dt
+            continue
+        empty_streak = 0
+        depth = read_depth()
+        wx, wy, wz = pixel_center_to_world((box.center_x, box.center_y), depth, sim.camera)
+        tracks.append(GateTrack(wx, wy, wz, box.center_x, box.center_y, depth, sim.time))
+        if len(tracks) == 2:
+            first, second = tracks
+            m = Measurement(first.world_y, second.world_y, first.t, second.t, second.depth)
+            return m, bin_idx * cfg.sensing_dt
+    return None, bin_idx * cfg.sensing_dt
 
 
-def _perceive_depth(cfg: EpisodeConfig, rng: np.random.Generator):
-    """Ground-truth gate positions sampled at the depth tracker's update rate.
+def plan(cfg: EpisodeConfig, models: PlannerModels, m: Measurement) -> MinJerkTrajectory:
+    """Minimum-jerk path to the predicted intercept: its ``duration`` is the
+    flight time from the network, its ``end[1]`` the crossing point y*."""
+    L = cfg.gate_bound
+    y1 = float(np.clip(m.y1, -L, L))
+    y2 = float(np.clip(m.y2, -L, L))
+    v_pred = pgnn_mod.mlp_forward(models.planner_params(cfg.planner_mode), m.depth, "infer")
+    t_traj = pgnn_mod.trajectory_time(v_pred, m.depth)
+    y_star = predict_intercept(PlannerInput(t_traj, L, y1, y2, m.t2 - m.t1)).y_star
+    return min_jerk_trajectory(
+        [cfg.drone_x, cfg.drone_y], [cfg.gate_plane_x, y_star], t_traj, FLIGHT_SAMPLE_DT
+    )
 
-    The first measurement is at time 0, the second one sensing interval
-    later, rounded down to a tracker tick but at least one tick; the window
-    still spans two sensing bins of wall-clock hover.
-    """
-    gate = cfg.gate()
-    dt_meas = max(np.floor(cfg.sensing_dt * DEPTH_TRACKER_HZ + 1e-9), 1.0) / DEPTH_TRACKER_HZ
-    depth_meas = cfg.depth
-    if cfg.depth_noise_sigma > 0:
-        depth_meas += cfg.depth_noise_sigma * rng.standard_normal()
-    return (gate.y, step_gate(gate, dt_meas).y, dt_meas, depth_meas), 2.0 * cfg.sensing_dt
+
+def fly(models: PlannerModels, traj: MinJerkTrajectory) -> float:
+    """Actuation energy [J] of the path, rotor speeds clipped at the motor limit."""
+    _, _, vel, _ = sample_arrays(traj)
+    speeds = np.hypot(vel[:, 0], vel[:, 1])
+    omegas = np.minimum(rotor_speeds(models.flight, speeds), models.flight.omega_max)
+    profile = RotorSpeedProfile(
+        np.repeat(omegas[:, None], 4, axis=1), traj.sample_dt, models.flight.omega_max
+    )
+    return trajectory_energy(models.coeffs, profile)
 
 
 def crossing_success(miss_distance: float, gate_radius: float, drone_radius: float) -> bool:
@@ -197,15 +243,9 @@ def run_episode(
     drone radius of the gate's center at crossing time.  Lost tracking is
     recorded as a failed episode charged only for its hover time.
     """
-    rng = np.random.default_rng(cfg.seed)
     hover_power = 4.0 * motor_power(models.coeffs, models.flight.hover_speed)
-
-    if cfg.perception_mode == "event-snn":
-        measurement, sensing_time = _perceive_events(cfg, models)
-    else:
-        measurement, sensing_time = _perceive_depth(cfg, rng)
-
-    if measurement is None:
+    m, sensing_time = perceive(cfg, models)
+    if m is None:
         hover_energy = hover_power * sensing_time
         return EpisodeResult(
             success=False,
@@ -219,37 +259,15 @@ def run_episode(
             tracking_lost=True,
         )
 
-    y1, y2, dt_meas, depth_meas = measurement
-    L = cfg.gate_bound
-    y1 = float(np.clip(y1, -L, L))
-    y2 = float(np.clip(y2, -L, L))
-
-    params = models.planner_params(cfg.planner_mode)
-    v_pred = pgnn_mod.mlp_forward(params, depth_meas, "infer")
-    t_traj = pgnn_mod.trajectory_time(v_pred, depth_meas)
-
-    intercept = predict_intercept(PlannerInput(t_traj, L, y1, y2, dt_meas))
-    y_star = intercept.y_star
-
-    traj = min_jerk_trajectory(
-        [cfg.drone_x, cfg.drone_y], [cfg.gate_plane_x, y_star],
-        t_traj, FLIGHT_SAMPLE_DT,
-    )
+    traj = plan(cfg, models, m)
     if trajectory_out is not None:
         write_trajectory_csv(traj, trajectory_out)
-    _, _, vel, _ = sample_arrays(traj)
-    speeds = np.hypot(vel[:, 0], vel[:, 1])
-    omegas = np.minimum(rotor_speeds(models.flight, speeds), models.flight.omega_max)
-    profile = RotorSpeedProfile(
-        np.repeat(omegas[:, None], 4, axis=1), FLIGHT_SAMPLE_DT,
-        models.flight.omega_max,
-    )
-    flight_energy = trajectory_energy(models.coeffs, profile)
+    flight_energy = fly(models, traj)
     hover_energy = hover_power * (sensing_time + cfg.latency)
 
+    t_traj, y_star = traj.duration, float(traj.end[1])
     t_cross = sensing_time + cfg.latency + t_traj
-    gate_y_cross = step_gate(cfg.gate(), t_cross).y
-    miss = abs(y_star - gate_y_cross)
+    miss = abs(y_star - step_gate(cfg.gate(), t_cross).y)
     return EpisodeResult(
         success=crossing_success(miss, cfg.gate_radius, cfg.drone_radius),
         energy_J=hover_energy + flight_energy,
@@ -338,8 +356,11 @@ def derive_run_config(
     )
 
 
-def check_run_args(runs: int, base_seed: int) -> None:
-    """Reject a run count below one or a negative base seed."""
+def check_run_args(runs: int, base_seed: int, cells=None) -> None:
+    """Reject a run count below one, a negative base seed or, when cells
+    are given, an empty grid."""
+    if cells is not None and not cells:
+        raise ValueError("grid must be nonempty")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if base_seed < 0:
@@ -354,7 +375,7 @@ def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,
     per episode, ordered by cell, then run, then combo.  All combos of one
     (cell, run) pair fly the same world.
     """
-    check_run_args(runs, base_seed)
+    check_run_args(runs, base_seed, cells)
     rows = []
     for ci, cell in enumerate(cells):
         for run in range(runs):
@@ -405,8 +426,6 @@ def success_rate_grid(
     template: EpisodeConfig = EpisodeConfig(),
 ) -> list[GridResult]:
     """Success fraction per cell for both perception modes, seeded and paired."""
-    if not cells:
-        raise ValueError("grid must be nonempty")
     combos = [(mode, planner_mode) for mode in PERCEPTION_MODES]
     rows = run_paired(cells, models, runs, base_seed, template, combos)
     return [

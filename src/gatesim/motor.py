@@ -233,17 +233,6 @@ def rotor_speeds(fm: FlightModel, speeds):
     return fm.hover_speed * np.sqrt(np.hypot(fm.gravity, drag_accel) / fm.gravity)
 
 
-def rotor_speed_for_velocity(fm: FlightModel, v: float) -> float:
-    """rotor_speeds at one airspeed v >= 0, raising ExceedsMaxRotorSpeed
-    above the motor limit."""
-    if v < 0:
-        raise ValueError("airspeed must be >= 0")
-    omega = float(rotor_speeds(fm, v))
-    if omega > fm.omega_max:
-        raise ExceedsMaxRotorSpeed(f"omega({v}) = {omega:.1f} rad/s exceeds the motor limit")
-    return omega
-
-
 def energy_velocity_profile(
     c: EnergyCoefficients,
     fm: FlightModel,

@@ -151,18 +151,6 @@ def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, flo
     return mse, phys, mse + lam * phys
 
 
-def pgnn_loss(params: MlpParams, samples, lam: float) -> float:
-    """Mean-square velocity error plus lam times the stationarity penalty.
-
-    The penalty is evaluated at each sample's ground-truth velocity (the
-    dataset's per-row constraint), so lam shifts the loss by a constant and
-    leaves its gradient, and the trained network, unchanged.
-    """
-    depths, _, _ = _sample_arrays(samples)
-    v, _ = _forward(params, depths, "train")
-    return loss_terms(v, samples, lam)[2]
-
-
 def pgnn_loss_grads(params: MlpParams, samples, lam: float):
     """Loss and analytic gradients for every trainable array.
 

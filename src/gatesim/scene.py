@@ -210,25 +210,6 @@ def _coverage_events(before: np.ndarray, after: np.ndarray, t: float, width: int
     return events
 
 
-def generate_events(
-    camera: CameraModel,
-    gate_before: GateState,
-    gate_after: GateState,
-    t: float,
-    thickness_px: float = 2.0,
-    threshold: float = 0.5,
-) -> np.ndarray:
-    """Events from the coverage change between two gate states.
-
-    Polarity is +1 where the annulus newly covers a pixel and -1 where it
-    uncovers one.  All events share the frame timestamp ``t``.  Returns a
-    structured array with EVENT_DTYPE, ordered row-major.
-    """
-    before = annulus_mask(camera, gate_before, thickness_px, threshold)
-    after = annulus_mask(camera, gate_after, thickness_px, threshold)
-    return _coverage_events(before, after, t, camera.width)
-
-
 def events_to_frame(
     events: np.ndarray, shape: tuple[int, int], origin: tuple[int, int] = (0, 0)
 ) -> np.ndarray:

@@ -3,7 +3,9 @@
 Each pixel drives one LIF neuron through a small weighted neighborhood kernel.
 Dense event activity (fast apparent motion) pushes membrane potentials past
 threshold; sparse activity leaks away.  The bounding box of the events
-recovered around spiking neurons localizes the moving gate.
+recovered around spiking neurons localizes the moving gate in pixels; the
+harness places that box in the world with a depth reading
+(``pixel_center_to_world``) and records it as a ``GateTrack``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .csvio import write_csv
-from .errors import DimensionMismatch, InvalidExtents, NonPositiveDepth, ZeroInterval
+from .errors import DimensionMismatch, InvalidExtents, NonPositiveDepth
 from .scene import CameraModel, events_to_frame
 
 
@@ -128,16 +130,9 @@ def pixel_center_to_world(
     return float(world[0]), float(world[1]), float(world[2])
 
 
-def estimate_gate_velocity(y1: float, y2: float, dt: float) -> float:
-    """Finite-difference lateral gate velocity from two tracked positions."""
-    if dt <= 0:
-        raise ZeroInterval(f"dt {dt} is not positive")
-    return (y2 - y1) / dt
-
-
 @dataclass(frozen=True)
 class GateTrack:
-    """One tracker output: world-frame gate center fused from pixels and depth."""
+    """One gate fix: the box center back-projected at a depth reading, at time t."""
 
     world_x: float
     world_y: float
@@ -149,12 +144,11 @@ class GateTrack:
 
 
 class SnnGateTracker:
-    """Stateful per-bin tracking pipeline for one event stream.
+    """Stateful per-bin spiking layer for one event stream.
 
     Bins must be processed in order: each call integrates the bin's event
     counts into the LIF layer and recovers the box from the previous bin's
-    events.  Depth comes from a simulated depth sensor (ground truth plus
-    optional Gaussian noise).
+    events.
 
     Each bin updates only a region of the grid: the *live box*, which holds
     every nonzero potential, joined with the bin's events and widened by the
@@ -163,27 +157,14 @@ class SnnGateTracker:
     full-grid update, bit for bit.
     """
 
-    def __init__(
-        self,
-        camera: CameraModel,
-        config: LifConfig | None = None,
-        depth_noise_sigma: float = 0.0,
-        seed: int = 0,
-    ):
+    def __init__(self, camera: CameraModel, config: LifConfig | None = None):
         self.camera = camera
         self.config = config if config is not None else LifConfig()
-        self.depth_noise_sigma = depth_noise_sigma
-        self._rng = np.random.default_rng(seed)
         self.membrane = new_membrane_grid(camera.shape)
         # (y0, y1, x0, x1), half-open: the previous bin's region, which holds
         # every nonzero potential, and its event frame; None before any
         self._live: tuple[int, int, int, int] | None = None
         self._live_frame: np.ndarray | None = None
-
-    def measure_depth(self, true_depth: float) -> float:
-        if self.depth_noise_sigma > 0:
-            return true_depth + self.depth_noise_sigma * self._rng.standard_normal()
-        return true_depth
 
     def _region(self, events: np.ndarray):
         """This bin's update box: the live box and the events, widened by the kernel radius."""
@@ -199,10 +180,8 @@ class SnnGateTracker:
         return (max(min(y0) - kh // 2, 0), min(max(y1) + kh // 2, h),
                 max(min(x0) - kw // 2, 0), min(max(x1) + kw // 2, w))
 
-    def process_bin(
-        self, events: np.ndarray, t: float, true_depth: float
-    ) -> GateTrack | None:
-        """Consume one sensing bin of events; returns a track when a box is found."""
+    def process_bin(self, events: np.ndarray) -> BoundingBox | None:
+        """Consume one sensing bin of events; returns the gate's pixel box, if found."""
         region = y0, y1, x0, x1 = self._region(events)
         frame = events_to_frame(events, (y1 - y0, x1 - x0), (y0, x0))
         membrane, spikes = lif_step(self.membrane[y0:y1, x0:x1], self.config, frame)
@@ -222,13 +201,7 @@ class SnnGateTracker:
                                 found.y_min + y0, found.y_max + y0)
         if y0 < y1:  # else no events and nothing live: no state to keep
             self._live, self._live_frame = region, frame
-        if box is None:
-            return None
-        depth = self.measure_depth(true_depth)
-        wx, wy, wz = pixel_center_to_world(
-            (box.center_x, box.center_y), depth, self.camera
-        )
-        return GateTrack(wx, wy, wz, box.center_x, box.center_y, depth, t)
+        return box
 
 
 def write_track_csv(tracks, path) -> None:

@@ -230,3 +230,15 @@ def test_benchmark_rejects_bad_grid_row_before_training(tmp_path, capsys, build_
     assert err.startswith("error: line 3 of") and "drone_x = -5.0" in err
     assert build_calls == []
     assert not out.exists()
+
+
+def test_benchmark_rejects_empty_grid_before_training(tmp_path, capsys, build_calls):
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text("drone_x,drone_y,gate_y0\n")
+    out = tmp_path / "o.csv"
+    code = main(["benchmark", "--grid", str(grid_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid must be nonempty" in err
+    assert build_calls == []
+    assert not out.exists()

@@ -1,12 +1,13 @@
 import hashlib
 import re
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatesim import harness, pgnn
+from gatesim import harness, pgnn, tracker
 from gatesim.harness import (
     DEPTH_LATENCY,
     EVENT_LATENCY,
@@ -27,6 +28,7 @@ from gatesim.harness import (
     energy_suite_cells,
     load_episode_config,
     load_grid_csv,
+    perceive,
     run_episode,
     success_rate_grid,
     write_ablation_csv,
@@ -198,6 +200,51 @@ class TestRunEpisode:
         res = run_episode(EpisodeConfig(planner_mode="vanilla-ann", seed=2),
                           quick_models)
         assert res.t_traj > 0
+
+
+class TestPerceive:
+    def test_depth_noise_is_seeded(self, quick_models):
+        # one depth sensor per episode: default_rng(seed), one draw per fix
+        for mode, fixes in (("depth-baseline", 1), ("event-snn", 2)):
+            cfg = EpisodeConfig(perception_mode=mode, depth_noise_sigma=0.05, seed=9)
+            a, b = (perceive(cfg, quick_models)[0] for _ in range(2))
+            assert a == b
+            draws = np.random.default_rng(9).standard_normal(fixes)
+            assert a.depth == cfg.depth + 0.05 * draws[-1]
+            assert a.depth != cfg.depth
+
+    def test_fix_times(self, quick_models):
+        depth, _ = perceive(EpisodeConfig(perception_mode="depth-baseline"), quick_models)
+        assert (depth.t1, depth.t2) == (0.0, 0.1)
+        event, sensing = perceive(EpisodeConfig(seed=3), quick_models)
+        assert (event.t1, event.t2) == (pytest.approx(0.1), pytest.approx(0.2))
+        assert sensing == pytest.approx(0.2)
+
+
+def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
+    # perfbench's tracer wraps these module and class attributes; a stage
+    # that bound one under another name would zero its span silently
+    targets = [
+        (harness, "predict_intercept"), (harness, "sample_arrays"),
+        (harness, "trajectory_energy"), (pgnn, "mlp_forward"),
+        (tracker.SnnGateTracker, "process_bin"),
+    ]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    names = {name for _, name in targets}
+    for mode, expected in (("event-snn", names), ("depth-baseline", names - {"process_bin"})):
+        calls.clear()
+        result = run_episode(EpisodeConfig(perception_mode=mode, seed=3), quick_models)
+        assert not result.tracking_lost
+        assert set(calls) == expected, mode
 
 
 # Seeded episodes outside perfbench's reference: noisy depth readings in

@@ -19,7 +19,6 @@ from gatesim.motor import (
     hover_rotor_speed,
     load_inertia,
     motor_power,
-    rotor_speed_for_velocity,
     rotor_speeds,
     trajectory_energy,
     write_profile_csv,
@@ -183,33 +182,28 @@ class TestTrajectoryEnergy:
 
 class TestFlightModel:
     def test_hover_at_zero_speed(self, flight):
-        assert rotor_speed_for_velocity(flight, 0.0) == pytest.approx(flight.hover_speed)
+        assert rotor_speeds(flight, 0.0) == pytest.approx(flight.hover_speed)
 
     def test_dragless_model_is_flat(self, coeffs):
         fm = default_flight_model(coeffs, drag_coeff=0.0)
         for v in (0.0, 4.0, 16.0):
-            assert rotor_speed_for_velocity(fm, v) == pytest.approx(fm.hover_speed)
+            assert rotor_speeds(fm, v) == pytest.approx(fm.hover_speed)
 
     def test_monotone_and_within_limit(self, flight):
-        speeds = np.linspace(0.0, 16.0, 50)
-        omegas = [rotor_speed_for_velocity(flight, v) for v in speeds]
+        omegas = rotor_speeds(flight, np.linspace(0.0, 16.0, 50))
         assert np.all(np.diff(omegas) >= 0)
         assert omegas[-1] <= flight.omega_max
 
     def test_limit_exceeded(self, coeffs):
         fm = FlightModel(hover_speed=800.0, drag_coeff=1.0)
+        assert rotor_speeds(fm, 16.0) > fm.omega_max  # the map does not clip
         with pytest.raises(ExceedsMaxRotorSpeed):
-            rotor_speed_for_velocity(fm, 16.0)
-        assert rotor_speeds(fm, 16.0) > fm.omega_max  # the array map does not clip
+            energy_velocity_profile(coeffs, fm, 4.0, [16.0])
 
     def test_array_map_matches_scalar_map_bit_for_bit(self, flight):
         grid = np.arange(1.0, 17.0)  # energy_velocity_profile's default grid
         omegas = rotor_speeds(flight, grid)
-        assert omegas.tolist() == [rotor_speed_for_velocity(flight, v) for v in grid]
-
-    def test_negative_speed_rejected(self, flight):
-        with pytest.raises(ValueError):
-            rotor_speed_for_velocity(flight, -1.0)
+        assert omegas.tolist() == [float(rotor_speeds(flight, v)) for v in grid]
 
 
 class TestEnergyVelocityProfile:
@@ -235,7 +229,7 @@ class TestEnergyVelocityProfile:
         # hover at 800 rad/s with heavy drag: the 837 rad/s limit is passed
         # between 1 and 2 m/s, so 2 m/s is the first grid speed over it
         fm = FlightModel(hover_speed=800.0, drag_coeff=1.0)
-        assert rotor_speed_for_velocity(fm, 1.0) <= fm.omega_max
+        assert rotor_speeds(fm, 1.0) <= fm.omega_max
         with pytest.raises(ExceedsMaxRotorSpeed, match=r"omega\(2\.0\)"):
             energy_velocity_profile(coeffs, fm, 4.0)
 

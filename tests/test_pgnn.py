@@ -20,7 +20,6 @@ from gatesim.pgnn import (
     load_params,
     loss_terms,
     mlp_forward,
-    pgnn_loss,
     pgnn_loss_grads,
     save_params,
     train_pgnn,
@@ -90,7 +89,7 @@ class TestLoss:
         depths = np.array([s.depth for s in samples])
         preds = mlp_forward(params, depths, "train")
         mse = float(np.mean((np.array([2.0, 3.0]) - preds) ** 2))
-        assert pgnn_loss(params, samples, 0.0) == pytest.approx(mse, rel=1e-12)
+        assert pgnn_loss_grads(params, samples, 0.0)[0] == pytest.approx(mse, rel=1e-12)
 
     def test_perfect_predictions_leave_only_physics(self):
         samples = toy_samples()
@@ -102,8 +101,8 @@ class TestLoss:
     def test_lambda_linearity(self):
         params = init_params(2)
         samples = toy_samples()
-        l1 = pgnn_loss(params, samples, 0.01)
-        l2 = pgnn_loss(params, samples, 0.07)
+        l1 = pgnn_loss_grads(params, samples, 0.01)[0]
+        l2 = pgnn_loss_grads(params, samples, 0.07)[0]
         _, phys, _ = loss_terms(
             mlp_forward(params, np.array([3.0, 4.0]), "train"), samples, 0.0
         )
@@ -111,7 +110,7 @@ class TestLoss:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            pgnn_loss(init_params(0), [], 0.0)
+            pgnn_loss_grads(init_params(0), [], 0.0)
 
 
 def relative_error(a, b, floor=1e-5):

@@ -14,7 +14,6 @@ from gatesim.scene import (
     annulus_mask,
     events_to_frame,
     gate_depth,
-    generate_events,
     project_to_pixels,
     rewind_gate,
     step_gate,
@@ -113,23 +112,22 @@ class TestEventGeneration:
         self.cam = self.cfg.camera()
 
     def test_static_scene_no_events(self):
-        gate = self.cfg.gate()
-        events = generate_events(self.cam, gate, gate, 0.0)
+        sim = EventCameraSim(WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0))
+        _, _, events = sim.step()
         assert len(events) == 0
 
     def test_moving_gate_produces_polarized_events(self):
-        gate = self.cfg.gate()
-        moved = step_gate(gate, 0.01)
-        events = generate_events(self.cam, gate, moved, 0.01)
+        _, moved, events = EventCameraSim(self.cfg).step()
+        assert moved.y == step_gate(self.cfg.gate(), 0.01).y
         assert len(events) > 0
         assert set(np.unique(events["p"])) <= {-1, 1}
         assert np.all(events["p"] != 0)
 
     def test_events_inside_union_of_annuli(self):
         # brute-force containment oracle: rasterize both annuli
-        gate = self.cfg.gate()
-        moved = step_gate(gate, 0.05)  # several-pixel displacement
-        events = generate_events(self.cam, gate, moved, 0.05)
+        cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, drone_x=2.0, frame_dt=0.05)
+        gate = cfg.gate()
+        _, moved, events = EventCameraSim(cfg).step()  # several-pixel displacement
         union = np.union1d(annulus_mask(self.cam, gate), annulus_mask(self.cam, moved))
         assert len(events) > 0
         assert np.isin(events["y"] * self.cam.width + events["x"], union).all()
@@ -166,9 +164,7 @@ class TestEventGeneration:
         assert counts[0] > 0  # the gate is static, so all events are spurious
 
     def test_event_frame_counts(self):
-        gate = self.cfg.gate()
-        moved = step_gate(gate, 0.01)
-        events = generate_events(self.cam, gate, moved, 0.01)
+        _, _, events = EventCameraSim(self.cfg).step()
         frame = events_to_frame(events, self.cam.shape)
         assert frame.sum() == len(events)
         assert frame.max() == 1  # one coverage flip per pixel per frame pair

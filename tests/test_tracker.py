@@ -8,7 +8,6 @@ from gatesim.errors import (
     DimensionMismatch,
     InvalidExtents,
     NonPositiveDepth,
-    ZeroInterval,
 )
 from gatesim.scene import (
     CameraModel,
@@ -21,7 +20,6 @@ from gatesim.tracker import (
     LifConfig,
     SnnGateTracker,
     bbox_center,
-    estimate_gate_velocity,
     lif_step,
     make_bbox,
     new_membrane_grid,
@@ -197,46 +195,36 @@ class TestBackProjection:
             pixel_center_to_world((320, 240), 0.0, self.cam)
 
 
-class TestVelocityEstimate:
-    def test_examples(self):
-        assert estimate_gate_velocity(0.3, 0.3, 0.1) == 0.0
-        assert estimate_gate_velocity(0.4, 0.5, 0.1) == pytest.approx(1.0)
-        assert estimate_gate_velocity(0.5, 0.4, 0.1) == pytest.approx(-1.0)
-
-    def test_zero_interval(self):
-        with pytest.raises(ZeroInterval):
-            estimate_gate_velocity(0.0, 1.0, 0.0)
-
-
 class TestTrackerPipeline:
-    def _run_bins(self, cfg, n_bins, tracker=None):
-        cam = cfg.camera()
+    def _run_bins(self, cfg, n_bins):
         sim = EventCameraSim(cfg)
-        tracker = tracker or SnnGateTracker(cam)
+        tracker = SnnGateTracker(cfg.camera())
         frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
-        depth = cfg.drone_x - cfg.gate().plane_x
-        tracks, states = [], []
+        boxes, states = [], []
         for _ in range(n_bins):
             events = np.concatenate([sim.step()[2] for _ in range(frames_per_bin)])
-            track = tracker.process_bin(events, sim.time, depth)
-            tracks.append(track)
+            boxes.append(tracker.process_bin(events))
             states.append(sim.gate)
-        return tracks, states
+        return boxes, states
 
     def test_moving_gate_is_tracked_near_truth(self):
         cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
-        tracks, states = self._run_bins(cfg, 8)
-        found = [t for t in tracks if t is not None]
+        boxes, states = self._run_bins(cfg, 8)
+        found = [b for b in boxes if b is not None]
         assert len(found) >= 5
-        # compare each track against the gate's lateral position around that bin
-        for track, state in zip(tracks[2:], states[2:]):
-            if track is not None:
-                assert abs(track.world_y - state.y) < 0.25
+        # back-project each box center at the true depth and compare it with
+        # the gate's lateral position around that bin
+        for box, state in zip(boxes[2:], states[2:]):
+            if box is not None:
+                _, world_y, _ = pixel_center_to_world(
+                    (box.center_x, box.center_y), cfg.depth, cfg.camera()
+                )
+                assert abs(world_y - state.y) < 0.25
 
     def test_first_bin_never_tracks(self):
         cfg = WorldConfig(gate_y0=0.0, gate_speed=0.5, gate_bound=2.0, drone_x=2.0)
-        tracks, _ = self._run_bins(cfg, 3)
-        assert tracks[0] is None
+        boxes, _ = self._run_bins(cfg, 3)
+        assert boxes[0] is None
 
     def test_speed_selectivity_over_full_traversal(self):
         # doubling the gate speed must not reduce the total spike count
@@ -266,16 +254,6 @@ class TestTrackerPipeline:
         fast = spike_count(0.8)
         assert fast >= slow
 
-    def test_depth_noise_is_seeded(self):
-        cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
-        results = []
-        for _ in range(2):
-            tracker = SnnGateTracker(cfg.camera(), depth_noise_sigma=0.05, seed=9)
-            tracks, _ = self._run_bins(cfg, 5, tracker)
-            results.append([t.depth for t in tracks if t is not None])
-        assert results[0] == results[1]
-        assert any(d != 4.0 for d in results[0])
-
 
 def test_track_csv_format(tmp_path):
     tracks = [
@@ -299,7 +277,7 @@ class _DenseTracker(SnnGateTracker):
         self.prev_frame = None
         self.spike_counts = []
 
-    def process_bin(self, events, t, true_depth):
+    def process_bin(self, events):
         frame = np.zeros(self.camera.shape, dtype=np.int32)
         np.add.at(frame, (events["y"], events["x"]), 1)
         self.membrane, spikes = lif_step(self.membrane, self.config, frame)
@@ -308,11 +286,7 @@ class _DenseTracker(SnnGateTracker):
         if self.prev_frame is not None:
             box = track_bbox(spikes, self.prev_frame)
         self.prev_frame = frame
-        if box is None:
-            return None
-        depth = self.measure_depth(true_depth)
-        wx, wy, wz = pixel_center_to_world((box.center_x, box.center_y), depth, self.camera)
-        return GateTrack(wx, wy, wz, box.center_x, box.center_y, depth, t)
+        return box
 
 
 def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
@@ -325,12 +299,11 @@ def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
 
     monkeypatch.setattr(tracker_mod, "lif_step", counting_lif_step)
     cam = oracle_world.camera()
-    sparse = SnnGateTracker(cam, depth_noise_sigma=0.05, seed=oracle_world.seed)
-    dense = _DenseTracker(cam, depth_noise_sigma=0.05, seed=oracle_world.seed)
+    sparse = SnnGateTracker(cam)
+    dense = _DenseTracker(cam)
     sim = EventCameraSim(oracle_world)
     for _ in range(8):
         events = np.concatenate([sim.step()[2] for _ in range(10)])
-        track = sparse.process_bin(events, sim.time, oracle_world.depth)
-        assert track == dense.process_bin(events, sim.time, oracle_world.depth)
+        assert sparse.process_bin(events) == dense.process_bin(events)
         assert sparse.membrane.tobytes() == dense.membrane.tobytes()
         assert spike_counts == dense.spike_counts
