@@ -36,7 +36,8 @@ from gatesim.harness import (
     write_grid_cells_csv,
     write_grid_csv,
 )
-from gatesim.motor import motor_power
+from gatesim.motor import motor_power, rotor_speeds
+from gatesim.planner import sample_arrays
 
 
 class TestEpisodeConfig:
@@ -219,6 +220,41 @@ class TestPerceive:
         event, sensing = perceive(EpisodeConfig(seed=3), quick_models)
         assert (event.t1, event.t2) == (pytest.approx(0.1), pytest.approx(0.2))
         assert sensing == pytest.approx(0.2)
+
+
+def _unclipped_rotor_speeds(models, traj) -> np.ndarray:
+    _, _, vel, _ = sample_arrays(traj)
+    return rotor_speeds(models.flight, np.hypot(vel[:, 0], vel[:, 1]))
+
+
+def _four_motor_energy(models, traj) -> float:
+    """Reference flight energy: the shared rotor speed as four motor columns,
+    each differentiated and priced, summed per sample, then integrated."""
+    omegas = np.minimum(_unclipped_rotor_speeds(models, traj), models.flight.omega_max)
+    W = np.repeat(omegas[:, None], 4, 1)
+    dt = traj.sample_dt
+    power = motor_power(models.coeffs, W, np.gradient(W, dt, axis=0)).sum(axis=1)
+    return float(np.trapezoid(power, dx=dt))
+
+
+@pytest.mark.parametrize("mode", PERCEPTION_MODES)
+def test_flight_energy_equals_four_motor_reference(quick_models, mode):
+    template = EpisodeConfig(perception_mode=mode)
+    clipped = unclipped = 0
+    for run in range(2):
+        for ci, cell in enumerate(energy_suite_cells()):
+            cfg = derive_run_config(cell, run, 0, ci, template)
+            m, _ = perceive(cfg, quick_models)
+            if m is None:
+                continue
+            traj = harness.plan(cfg, quick_models, m)
+            assert harness.fly(quick_models, traj) == _four_motor_energy(quick_models, traj)
+            if _unclipped_rotor_speeds(quick_models, traj).max() > quick_models.flight.omega_max:
+                clipped += 1
+            else:
+                unclipped += 1
+    # both sides of the motor limit are priced
+    assert clipped > 0 and unclipped > 0
 
 
 def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
