@@ -122,12 +122,7 @@ def physics_term(constraints: np.ndarray, velocities: np.ndarray) -> float:
     return float(np.sum(j * constraints * powers))
 
 
-def build_dataset(
-    depths,
-    c: EnergyCoefficients,
-    fm: FlightModel,
-    v_grid=None,
-) -> list[TrainingSample]:
+def build_dataset(depths, c: EnergyCoefficients, fm: FlightModel) -> list[TrainingSample]:
     """One training sample per depth: profile -> quintic fit -> optimal velocity."""
     depths = [float(d) for d in depths]
     if len(set(depths)) != len(depths):
@@ -136,7 +131,7 @@ def build_dataset(
         raise ValueError("depths must be finite and positive")
     samples = []
     for depth in depths:
-        profile = energy_velocity_profile(c, fm, depth, v_grid)
+        profile = energy_velocity_profile(c, fm, depth)
         fit = fit_quintic(profile)
         v_star, at_endpoint = optimal_velocity(fit)
         samples.append(

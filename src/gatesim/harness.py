@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import typing
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -39,20 +39,18 @@ from .motor import (
 from .planner import (
     MinJerkTrajectory,
     PlannerInput,
-    min_jerk_trajectory,
     predict_intercept,
     sample_arrays,
     write_trajectory_csv,
 )
 from .scene import EventCameraSim, WorldConfig, rewind_gate, step_gate
-from .tracker import GateTrack, LifConfig, SnnGateTracker, pixel_center_to_world
+from .tracker import GateTrack, SnnGateTracker, pixel_center_to_world
 
 EVENT_LATENCY = 0.2      # perception pipeline delay of the event path [s]
 DEPTH_LATENCY = 2.2      # depth-image pipeline delay: event path + 2 s [s]
 DEPTH_TRACKER_HZ = 30.0  # update rate of the depth baseline
 PERCEPTION_MODES = ("event-snn", "depth-baseline")
 PLANNER_MODES = ("pgnn", "vanilla-ann")
-FLIGHT_SAMPLE_DT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,6 @@ class PlannerModels:
     flight: FlightModel
     pgnn_params: pgnn_mod.MlpParams
     vanilla_params: pgnn_mod.MlpParams
-    lif: LifConfig = field(default_factory=LifConfig)
 
     def planner_params(self, planner_mode: str) -> pgnn_mod.MlpParams:
         return self.pgnn_params if planner_mode == "pgnn" else self.vanilla_params
@@ -161,12 +158,12 @@ def perceive(cfg: EpisodeConfig, models: PlannerModels) -> tuple[Measurement | N
     interval later, rounded down to a tracker tick but at least one tick; the
     window still spans two sensing bins of wall-clock hover.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if cfg.depth_noise_sigma > 0 else None
 
     def read_depth() -> float:
-        if cfg.depth_noise_sigma > 0:
-            return cfg.depth + cfg.depth_noise_sigma * rng.standard_normal()
-        return cfg.depth
+        if rng is None:
+            return cfg.depth
+        return cfg.depth + cfg.depth_noise_sigma * rng.standard_normal()
 
     if cfg.perception_mode == "depth-baseline":
         gate = cfg.gate()
@@ -178,7 +175,7 @@ def perceive(cfg: EpisodeConfig, models: PlannerModels) -> tuple[Measurement | N
     sim = EventCameraSim(
         cfg, start_time=-cfg.sensing_dt, gate=rewind_gate(cfg.gate(), cfg.sensing_dt)
     )
-    tracker = SnnGateTracker(sim.camera, models.lif)
+    tracker = SnnGateTracker(sim.camera)
     tracks: list[GateTrack] = []
     empty_streak = 0
     for bin_idx in range(cfg.max_sensing_bins + 1):
@@ -211,9 +208,7 @@ def plan(cfg: EpisodeConfig, models: PlannerModels, m: Measurement) -> MinJerkTr
     v_pred = pgnn_mod.mlp_forward(models.planner_params(cfg.planner_mode), m.depth, "infer")
     t_traj = pgnn_mod.trajectory_time(v_pred, m.depth)
     y_star = predict_intercept(PlannerInput(t_traj, L, y1, y2, m.t2 - m.t1)).y_star
-    return min_jerk_trajectory(
-        [cfg.drone_x, cfg.drone_y], [cfg.gate_plane_x, y_star], t_traj, FLIGHT_SAMPLE_DT
-    )
+    return MinJerkTrajectory([cfg.drone_x, cfg.drone_y], [cfg.gate_plane_x, y_star], t_traj)
 
 
 def fly(models: PlannerModels, traj: MinJerkTrajectory) -> float:
@@ -221,9 +216,7 @@ def fly(models: PlannerModels, traj: MinJerkTrajectory) -> float:
     _, _, vel, _ = sample_arrays(traj)
     speeds = np.hypot(vel[:, 0], vel[:, 1])
     omegas = np.minimum(rotor_speeds(models.flight, speeds), models.flight.omega_max)
-    profile = RotorSpeedProfile(
-        np.repeat(omegas[:, None], 4, axis=1), traj.sample_dt, models.flight.omega_max
-    )
+    profile = RotorSpeedProfile(omegas, traj.sample_dt, models.flight.omega_max)
     return trajectory_energy(models.coeffs, profile)
 
 
@@ -400,6 +393,10 @@ def _write_csv(items, cls, formats: dict, path) -> None:
     write_csv(path, {f.name: formats.get(f.name, "") for f in fields(cls)}, map(astuple, items))
 
 
+# The success grid and the energy suite compare perception modes under the
+# pgnn planner; the ablation is the one suite with a planner axis.
+_PERCEPTION_COMBOS = tuple((mode, "pgnn") for mode in PERCEPTION_MODES)
+
 _CELL_FORMATS = dict.fromkeys(("drone_x", "drone_y", "gate_y0", "gate_speed"), ".3f")
 _RESULT_FORMATS = dict.fromkeys(("success_rate", "mean_energy_J"), ".6f")
 
@@ -422,12 +419,10 @@ def success_rate_grid(
     models: PlannerModels,
     runs: int = 10,
     base_seed: int = 0,
-    planner_mode: str = "pgnn",
     template: EpisodeConfig = EpisodeConfig(),
 ) -> list[GridResult]:
     """Success fraction per cell for both perception modes, seeded and paired."""
-    combos = [(mode, planner_mode) for mode in PERCEPTION_MODES]
-    rows = run_paired(cells, models, runs, base_seed, template, combos)
+    rows = run_paired(cells, models, runs, base_seed, template, _PERCEPTION_COMBOS)
     return [
         GridResult(
             cell.drone_x, cell.drone_y, cell.gate_y0, cell.gate_speed, mode,
@@ -460,14 +455,12 @@ def energy_comparison(
     cells=None,
     runs: int = 10,
     base_seed: int = 0,
-    planner_mode: str = "pgnn",
     template: EpisodeConfig = EpisodeConfig(),
 ) -> EnergyComparison:
     """Run the paired energy suite (default: the 25-flight set, 10 runs each)."""
     if cells is None:
         cells = energy_suite_cells()
-    combos = [(mode, planner_mode) for mode in PERCEPTION_MODES]
-    rows = run_paired(cells, models, runs, base_seed, template, combos)
+    rows = run_paired(cells, models, runs, base_seed, template, _PERCEPTION_COMBOS)
     event, depth = ([res for _, _, p, _, res in rows if p == mode] for mode in PERCEPTION_MODES)
     surpluses = [
         d.energy_J - e.energy_J

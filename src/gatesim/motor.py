@@ -2,11 +2,12 @@
 
 The electrical model is a resistive winding in series with the back EMF.  At
 steady state the per-motor power e(t)*i(t) expands into a quartic polynomial
-in rotor speed plus spin-up terms in the rotor acceleration; integrating the
-summed 4-motor power over a flight gives the actuation energy.
+in rotor speed plus spin-up terms in the rotor acceleration.  The flight model
+is symmetric-thrust, so the four motors share one rotor speed; integrating
+four times that motor's power over a flight gives the actuation energy.
 
-All angular speeds are in rad/s internally.  The 7994 rpm motor limit is
-converted on construction; the torque constant doubles as the back-EMF
+All angular speeds are in rad/s internally.  The 7994 rpm motor limit is the
+one constant ``OMEGA_MAX``; the torque constant doubles as the back-EMF
 constant (same SI value in V*s/rad and N*m/A).
 """
 
@@ -29,6 +30,9 @@ RPM_TO_RAD = 2.0 * np.pi / 60.0
 
 OMEGA_MAX = 7994.0 * RPM_TO_RAD  # motor speed limit [rad/s]
 
+#: Cruise speeds at which the energy-velocity profile is priced [m/s].
+VELOCITY_GRID = np.arange(1.0, 17.0)
+
 #: Total instantaneous power of the calibrated hover configuration [W].
 HOVER_POWER_W = 124.0
 
@@ -41,8 +45,6 @@ class MotorParams:
     """
 
     resistance: float = 0.3            # winding resistance [ohm]
-    supply_voltage: float = 15.0       # [V]
-    omega_max: float = OMEGA_MAX       # [rad/s]
     friction_torque: float = 0.0187    # static motor friction [N*m]
     load_torque_coeff: float = 9.04969e-09  # [N*m*s^2/rad^2]
     damping: float = 2e-04             # viscous damping [N*m*s/rad]
@@ -54,8 +56,8 @@ class MotorParams:
     blade_clearance: float = 0.023     # hub clearance between blade and motor [m]
 
     def __post_init__(self):
-        if self.resistance <= 0 or self.supply_voltage <= 0 or self.omega_max <= 0:
-            raise ValueError("resistance, supply voltage and omega_max must be positive")
+        if self.resistance <= 0:
+            raise ValueError("resistance must be positive")
         if self.k_t <= 0:
             raise ZeroTorqueConstant("torque constant must be positive")
         if min(self.friction_torque, self.damping, self.load_torque_coeff) < 0:
@@ -140,7 +142,7 @@ def motor_power(c: EnergyCoefficients, omega, domega=0.0):
 
 @dataclass(frozen=True)
 class RotorSpeedProfile:
-    """Uniformly sampled rotor speeds for the 4 motors: shape (n, 4), dt apart."""
+    """Uniformly sampled rotor speed shared by the 4 motors: shape (n,), dt apart."""
 
     omegas: np.ndarray
     dt: float
@@ -149,8 +151,8 @@ class RotorSpeedProfile:
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
         object.__setattr__(self, "omegas", omegas)
-        if omegas.ndim != 2 or omegas.shape[1] != 4:
-            raise ValueError("profile must have shape (n, 4)")
+        if omegas.ndim != 1:
+            raise ValueError("profile must have shape (n,)")
         if len(omegas) == 0:
             raise EmptyProfile("rotor speed profile has no samples")
         if self.dt <= 0:
@@ -168,27 +170,25 @@ def trajectory_energy(c: EnergyCoefficients, profile: RotorSpeedProfile) -> floa
     omegas = profile.omegas
     if len(omegas) == 1:
         return 0.0
-    domegas = np.gradient(omegas, profile.dt, axis=0)
-    power = motor_power(c, omegas, domegas).sum(axis=1)
-    return float(np.trapezoid(power, dx=profile.dt))
+    p = motor_power(c, omegas, np.gradient(omegas, profile.dt))
+    # The four motors' powers are added one by one, as a per-sample sum of
+    # four equal columns adds them; 4 * p is exact and can differ from that
+    # sum in a rounding tie.
+    return float(np.trapezoid(p + p + p + p, dx=profile.dt))
 
 
-def hover_rotor_speed(
-    c: EnergyCoefficients,
-    total_power: float = HOVER_POWER_W,
-    omega_max: float = OMEGA_MAX,
-) -> float:
-    """Rotor speed at which the 4 motors together dissipate ``total_power``.
+def hover_rotor_speed(c: EnergyCoefficients) -> float:
+    """Rotor speed at which the 4 motors together dissipate ``HOVER_POWER_W``.
 
     The steady-state power is strictly increasing in omega, so the root is
-    unique on [0, omega_max].
+    unique on [0, OMEGA_MAX].
     """
     def gap(w):
-        return 4.0 * motor_power(c, w) - total_power
+        return 4.0 * motor_power(c, w) - HOVER_POWER_W
 
-    if gap(omega_max) < 0:
+    if gap(OMEGA_MAX) < 0:
         raise ExceedsMaxRotorSpeed("target power unreachable below omega_max")
-    return float(optimize.brentq(gap, 0.0, omega_max, xtol=1e-12, rtol=1e-15))
+    return float(optimize.brentq(gap, 0.0, OMEGA_MAX, xtol=1e-12, rtol=1e-15))
 
 
 @dataclass(frozen=True)
@@ -213,17 +213,9 @@ class FlightModel:
             raise ValueError("drag coefficient must be >= 0")
 
 
-def default_flight_model(
-    c: EnergyCoefficients,
-    hover_power: float = HOVER_POWER_W,
-    mass: float = 0.5,
-    gravity: float = 9.81,
-    drag_coeff: float = 0.05,
-    omega_max: float = OMEGA_MAX,
-) -> FlightModel:
-    """Flight model with the hover rotor speed calibrated to ``hover_power``."""
-    omega_h = hover_rotor_speed(c, hover_power, omega_max)
-    return FlightModel(mass, gravity, drag_coeff, omega_h, omega_max)
+def default_flight_model(c: EnergyCoefficients) -> FlightModel:
+    """Flight model with the hover rotor speed calibrated to ``HOVER_POWER_W``."""
+    return FlightModel(hover_speed=hover_rotor_speed(c))
 
 
 def rotor_speeds(fm: FlightModel, speeds):
@@ -237,9 +229,8 @@ def energy_velocity_profile(
     c: EnergyCoefficients,
     fm: FlightModel,
     depth: float,
-    v_grid=None,
 ) -> np.ndarray:
-    """Cruise energy to traverse ``depth`` at each constant speed of the grid.
+    """Cruise energy to traverse ``depth`` at each speed of ``VELOCITY_GRID``.
 
     Flight time is depth / v and the energy is time * 4-motor steady power
     (acceleration transients excluded).  Returns an (n, 2) array of
@@ -248,17 +239,12 @@ def energy_velocity_profile(
     """
     if not 0 < depth < np.inf:
         raise ValueError(f"depth must be finite and positive, got {depth}")
-    if v_grid is None:
-        v_grid = np.arange(1.0, 17.0)
-    v_grid = np.asarray(v_grid, dtype=float)
-    if np.any(v_grid < 1.0) or np.any(v_grid > 16.0):
-        raise ValueError("velocity grid must lie within [1, 16] m/s")
-    omegas = rotor_speeds(fm, v_grid)
+    omegas = rotor_speeds(fm, VELOCITY_GRID)
     over = np.flatnonzero(omegas > fm.omega_max)
     if over.size:
-        v, omega = v_grid[over[0]], omegas[over[0]]
+        v, omega = VELOCITY_GRID[over[0]], omegas[over[0]]
         raise ExceedsMaxRotorSpeed(f"omega({v}) = {omega:.1f} rad/s exceeds the motor limit")
-    return np.column_stack([v_grid, depth / v_grid * 4.0 * motor_power(c, omegas)])
+    return np.column_stack([VELOCITY_GRID, depth / VELOCITY_GRID * 4.0 * motor_power(c, omegas)])
 
 
 def write_profile_csv(profiles: dict[float, np.ndarray], path) -> None:

@@ -120,11 +120,6 @@ class MinJerkTrajectory:
             raise ValueError("sample_dt must be positive")
 
 
-def min_jerk_trajectory(start, end, duration: float, sample_dt: float = 1e-3) -> MinJerkTrajectory:
-    """Construct the rest-to-rest minimum-jerk trajectory between two points."""
-    return MinJerkTrajectory(start, end, duration, sample_dt)
-
-
 def _shape(tau):
     s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
     ds = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4

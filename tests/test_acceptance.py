@@ -13,12 +13,13 @@ from gatesim import harness, pgnn
 from gatesim.cli import main as cli_main
 from gatesim.fitting import fit_quintic, optimal_velocity
 from gatesim.motor import (
+    OMEGA_MAX,
     MotorParams,
     energy_velocity_profile,
     hover_rotor_speed,
     motor_power,
 )
-from gatesim.planner import PlannerInput, min_jerk_trajectory, predict_intercept, sample_state
+from gatesim.planner import MinJerkTrajectory, PlannerInput, predict_intercept, sample_state
 from gatesim.scene import EventCameraSim, GateState, WorldConfig, annulus_bbox, step_gate
 from gatesim.tracker import LifConfig, lif_step, new_membrane_grid, track_bbox
 from gatesim.scene import events_to_frame
@@ -38,7 +39,7 @@ def test_criterion_1_energy_oracle_equivalence(coeffs):
     t0 = time.monotonic()
     params = MotorParams()
     rng = np.random.default_rng(1)
-    omegas = rng.uniform(0.0, params.omega_max, 1000)
+    omegas = rng.uniform(0.0, OMEGA_MAX, 1000)
     domegas = rng.uniform(-5000.0, 5000.0, 1000)
 
     j = params.rotor_inertia + 0.25 * params.n_blades * params.blade_mass * (
@@ -65,15 +66,14 @@ def test_criterion_1_energy_oracle_equivalence(coeffs):
 
 def test_criterion_2_hover_power_anchor(coeffs):
     t0 = time.monotonic()
-    params = MotorParams()
     omega_h = hover_rotor_speed(coeffs)
     total = 4.0 * motor_power(coeffs, omega_h)
     elapsed = time.monotonic() - t0
-    ok = abs(total - 124.0) <= 1.24 and omega_h < params.omega_max and elapsed < 1.0
+    ok = abs(total - 124.0) <= 1.24 and omega_h < OMEGA_MAX and elapsed < 1.0
     report(
         "criterion 2 (hover power anchor)",
         ok,
-        f"total {total:.3f} W at {omega_h:.1f} rad/s (limit {params.omega_max:.0f}), {elapsed:.2f}s",
+        f"total {total:.3f} W at {omega_h:.1f} rad/s (limit {OMEGA_MAX:.0f}), {elapsed:.2f}s",
     )
 
 
@@ -237,7 +237,7 @@ def test_criterion_7_intercept_oracle():
 
 def test_criterion_8_min_jerk_properties():
     t0 = time.monotonic()
-    traj = min_jerk_trajectory([0.0], [3.0], 0.8)
+    traj = MinJerkTrajectory([0.0], [3.0], 0.8)
     p0, v0, a0 = sample_state(traj, 0.0)
     pT, vT, aT = sample_state(traj, 0.8)
     boundaries = (
@@ -245,7 +245,7 @@ def test_criterion_8_min_jerk_properties():
         and v0[0] == 0.0 and vT[0] == 0.0
         and a0[0] == 0.0 and aT[0] == 0.0
     )
-    mid, _, _ = sample_state(min_jerk_trajectory([0.0], [1.0], 1.0), 0.5)
+    mid, _, _ = sample_state(MinJerkTrajectory([0.0], [1.0], 1.0), 0.5)
     midpoint = abs(mid[0] - 0.5) < 1e-12
 
     dt = 1e-4

@@ -214,6 +214,20 @@ class TestPerceive:
             assert a.depth == cfg.depth + 0.05 * draws[-1]
             assert a.depth != cfg.depth
 
+    @pytest.mark.parametrize("sigma, builds", [(0.0, 0), (0.05, 1)])
+    def test_depth_sensor_rng_built_only_for_noise(self, quick_models, monkeypatch,
+                                                   sigma, builds):
+        calls, default_rng = [], np.random.default_rng
+
+        def counting(*args):
+            calls.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        cfg = EpisodeConfig(perception_mode="depth-baseline", depth_noise_sigma=sigma, seed=9)
+        run_episode(cfg, quick_models)
+        assert calls == [(9,)] * builds
+
     def test_fix_times(self, quick_models):
         depth, _ = perceive(EpisodeConfig(perception_mode="depth-baseline"), quick_models)
         assert (depth.t1, depth.t2) == (0.0, 0.1)

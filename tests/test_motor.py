@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from gatesim.errors import (
 )
 from gatesim.motor import (
     HOVER_POWER_W,
+    OMEGA_MAX,
+    VELOCITY_GRID,
     FlightModel,
     MotorParams,
     RotorSpeedProfile,
     calibration_report,
-    default_flight_model,
     energy_coefficients,
     energy_velocity_profile,
     hover_rotor_speed,
@@ -106,7 +109,7 @@ class TestMotorPower:
     def test_oracle_equivalence_random(self, coeffs):
         params = MotorParams()
         rng = np.random.default_rng(0)
-        omegas = rng.uniform(0.0, params.omega_max, 1000)
+        omegas = rng.uniform(0.0, OMEGA_MAX, 1000)
         domegas = rng.uniform(-5000.0, 5000.0, 1000)
         got = motor_power(coeffs, omegas, domegas)
         want = voltage_current_power(params, omegas, domegas)
@@ -118,10 +121,9 @@ class TestMotorPower:
         assert np.all(np.diff(powers) > 0)
 
     def test_hover_anchor(self, coeffs):
-        params = MotorParams()
         omega_h = hover_rotor_speed(coeffs)
         assert 4.0 * motor_power(coeffs, omega_h) == pytest.approx(HOVER_POWER_W, rel=1e-9)
-        assert omega_h < params.omega_max
+        assert omega_h < OMEGA_MAX
         # per-motor hover power is ~31 W in the low hundreds of rad/s
         assert motor_power(coeffs, 340.0) == pytest.approx(31.0, rel=0.05)
 
@@ -129,14 +131,14 @@ class TestMotorPower:
 class TestTrajectoryEnergy:
     def test_zero_speed_profile(self, coeffs):
         n, dt = 1001, 1e-3
-        profile = RotorSpeedProfile(np.zeros((n, 4)), dt)
+        profile = RotorSpeedProfile(np.zeros(n), dt)
         # constant power 4*c0 over (n-1)*dt seconds
         expected = 4.0 * coeffs.c0 * (n - 1) * dt
         assert trajectory_energy(coeffs, profile) == pytest.approx(expected, rel=1e-12)
 
     def test_hover_for_one_second(self, coeffs):
         omega_h = hover_rotor_speed(coeffs)
-        profile = RotorSpeedProfile(np.full((1001, 4), omega_h), 1e-3)
+        profile = RotorSpeedProfile(np.full(1001, omega_h), 1e-3)
         assert trajectory_energy(coeffs, profile) == pytest.approx(124.0, rel=1e-6)
 
     def test_halving_sample_period_converges(self, coeffs):
@@ -145,9 +147,7 @@ class TestTrajectoryEnergy:
         def energy(dt):
             t = np.arange(0.0, 1.0 + dt / 2, dt)
             omega = omega_h + 30.0 * np.sin(2 * np.pi * t)
-            return trajectory_energy(
-                coeffs, RotorSpeedProfile(np.repeat(omega[:, None], 4, 1), dt)
-            )
+            return trajectory_energy(coeffs, RotorSpeedProfile(omega, dt))
 
         coarse, fine = energy(1e-3), energy(5e-4)
         assert abs(fine - coarse) / fine < 1e-3
@@ -157,9 +157,8 @@ class TestTrajectoryEnergy:
         dt = 1e-3
         t = np.arange(0.0, 0.5, dt)
         omega = omega_h * (1.0 + 0.3 * np.sin(4 * np.pi * t))
-        profile = np.repeat(omega[:, None], 4, 1)
         energies = [
-            trajectory_energy(coeffs, RotorSpeedProfile(profile[: k + 2], dt))
+            trajectory_energy(coeffs, RotorSpeedProfile(omega[: k + 2], dt))
             for k in range(len(t) - 1)
         ]
         diffs = np.diff(energies)
@@ -169,23 +168,23 @@ class TestTrajectoryEnergy:
 
     def test_empty_profile(self):
         with pytest.raises(EmptyProfile):
-            RotorSpeedProfile(np.zeros((0, 4)), 1e-3)
+            RotorSpeedProfile(np.zeros(0), 1e-3)
 
     def test_shape_and_bounds_validation(self):
+        with pytest.raises(ValueError, match=r"shape \(n,\)"):
+            RotorSpeedProfile(np.zeros((10, 4)), 1e-3)
         with pytest.raises(ValueError):
-            RotorSpeedProfile(np.zeros((10, 3)), 1e-3)
+            RotorSpeedProfile(np.full(10, -1.0), 1e-3)
         with pytest.raises(ValueError):
-            RotorSpeedProfile(np.full((10, 4), -1.0), 1e-3)
-        with pytest.raises(ValueError):
-            RotorSpeedProfile(np.full((10, 4), 1e6), 1e-3)
+            RotorSpeedProfile(np.full(10, 1e6), 1e-3)
 
 
 class TestFlightModel:
     def test_hover_at_zero_speed(self, flight):
         assert rotor_speeds(flight, 0.0) == pytest.approx(flight.hover_speed)
 
-    def test_dragless_model_is_flat(self, coeffs):
-        fm = default_flight_model(coeffs, drag_coeff=0.0)
+    def test_dragless_model_is_flat(self, flight):
+        fm = dataclasses.replace(flight, drag_coeff=0.0)
         for v in (0.0, 4.0, 16.0):
             assert rotor_speeds(fm, v) == pytest.approx(fm.hover_speed)
 
@@ -198,12 +197,11 @@ class TestFlightModel:
         fm = FlightModel(hover_speed=800.0, drag_coeff=1.0)
         assert rotor_speeds(fm, 16.0) > fm.omega_max  # the map does not clip
         with pytest.raises(ExceedsMaxRotorSpeed):
-            energy_velocity_profile(coeffs, fm, 4.0, [16.0])
+            energy_velocity_profile(coeffs, fm, 4.0)
 
     def test_array_map_matches_scalar_map_bit_for_bit(self, flight):
-        grid = np.arange(1.0, 17.0)  # energy_velocity_profile's default grid
-        omegas = rotor_speeds(flight, grid)
-        assert omegas.tolist() == [float(rotor_speeds(flight, v)) for v in grid]
+        omegas = rotor_speeds(flight, VELOCITY_GRID)
+        assert omegas.tolist() == [float(rotor_speeds(flight, v)) for v in VELOCITY_GRID]
 
 
 class TestEnergyVelocityProfile:
@@ -234,8 +232,6 @@ class TestEnergyVelocityProfile:
             energy_velocity_profile(coeffs, fm, 4.0)
 
     def test_grid_validation(self, coeffs, flight):
-        with pytest.raises(ValueError):
-            energy_velocity_profile(coeffs, flight, 4.0, [0.5, 2.0])
         with pytest.raises(ValueError):
             energy_velocity_profile(coeffs, flight, -1.0)
 

@@ -8,7 +8,6 @@ from gatesim.planner import (
     InterceptResult,
     MinJerkTrajectory,
     PlannerInput,
-    min_jerk_trajectory,
     predict_intercept,
     sample_arrays,
     sample_state,
@@ -167,7 +166,7 @@ def jerk_integral(positions, dt):
 
 class TestMinJerk:
     def test_boundary_conditions_exact(self):
-        traj = min_jerk_trajectory([0.0, 1.0], [4.0, -2.0], 0.7)
+        traj = MinJerkTrajectory([0.0, 1.0], [4.0, -2.0], 0.7)
         p0, v0, a0 = sample_state(traj, 0.0)
         pT, vT, aT = sample_state(traj, 0.7)
         assert np.array_equal(p0, [0.0, 1.0])
@@ -176,19 +175,19 @@ class TestMinJerk:
         assert np.all(a0 == 0.0) and np.all(aT == 0.0)
 
     def test_midpoint_symmetry(self):
-        traj = min_jerk_trajectory([0.0], [1.0], 1.0)
+        traj = MinJerkTrajectory([0.0], [1.0], 1.0)
         p, _, _ = sample_state(traj, 0.5)
         assert p[0] == pytest.approx(0.5, abs=1e-12)  # 10/8 - 15/16 + 6/32
 
     def test_peak_speed(self):
-        traj = min_jerk_trajectory([0.0], [4.0], 0.5)
+        traj = MinJerkTrajectory([0.0], [4.0], 0.5)
         _, v, _ = sample_state(traj, 0.25)
         assert v[0] == pytest.approx(1.875 * 4.0 / 0.5, rel=1e-12)
         times, _, vel, _ = sample_arrays(traj)
         assert np.abs(vel).max() <= 15.0 + 1e-9
 
     def test_velocity_matches_finite_differences(self):
-        traj = min_jerk_trajectory([1.0], [5.0], 2.0)
+        traj = MinJerkTrajectory([1.0], [5.0], 2.0)
         rng = np.random.default_rng(0)
         h = 1e-6
         for t in rng.uniform(h, 2.0 - h, 100):
@@ -199,7 +198,7 @@ class TestMinJerk:
             assert abs(v[0] - fd) / max(abs(v[0]), 1.0) < 1e-6
 
     def test_acceleration_matches_finite_differences(self):
-        traj = min_jerk_trajectory([0.0], [3.0], 1.5)
+        traj = MinJerkTrajectory([0.0], [3.0], 1.5)
         h = 1e-5
         for t in np.linspace(0.1, 1.4, 20):
             _, _, a = sample_state(traj, t)
@@ -209,7 +208,7 @@ class TestMinJerk:
             assert abs(a[0] - fd) / max(abs(a[0]), 1.0) < 1e-5
 
     def test_zero_displacement_is_identically_at_rest(self):
-        traj = min_jerk_trajectory([2.0], [2.0], 1.0)
+        traj = MinJerkTrajectory([2.0], [2.0], 1.0)
         _, pos, vel, acc = sample_arrays(traj)
         assert np.all(pos == 2.0)
         assert np.all(vel == 0.0) and np.all(acc == 0.0)
@@ -232,8 +231,8 @@ class TestMinJerk:
 
     def test_domain_and_duration_errors(self):
         with pytest.raises(NonPositiveDuration):
-            min_jerk_trajectory([0.0], [1.0], 0.0)
-        traj = min_jerk_trajectory([0.0], [1.0], 1.0)
+            MinJerkTrajectory([0.0], [1.0], 0.0)
+        traj = MinJerkTrajectory([0.0], [1.0], 1.0)
         with pytest.raises(OutOfDomain):
             sample_state(traj, -0.1)
         with pytest.raises(OutOfDomain):
@@ -242,7 +241,7 @@ class TestMinJerk:
             MinJerkTrajectory(np.zeros(2), np.zeros(3), 1.0)
 
     def test_sample_arrays_cover_duration(self):
-        traj = min_jerk_trajectory([0.0], [1.0], 0.3337)
+        traj = MinJerkTrajectory([0.0], [1.0], 0.3337)
         times, pos, _, _ = sample_arrays(traj)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.3337, abs=1e-12)
@@ -250,11 +249,11 @@ class TestMinJerk:
 
 
 def test_trajectory_csv(tmp_path):
-    traj = min_jerk_trajectory([2.0, 0.0], [-2.0, 1.5], 0.5)
+    traj = MinJerkTrajectory([2.0, 0.0], [-2.0, 1.5], 0.5)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,y,vx,vy,ax,ay"
     assert len(lines) == 502  # 501 millisecond samples + header
     with pytest.raises(ValueError):
-        write_trajectory_csv(min_jerk_trajectory([0.0], [1.0], 0.5), path)
+        write_trajectory_csv(MinJerkTrajectory([0.0], [1.0], 0.5), path)
