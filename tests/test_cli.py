@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from gatesim import harness
@@ -52,6 +55,27 @@ def test_train_pgnn(tmp_path):
     lines = curve_path.read_text().splitlines()
     assert lines[0] == "epoch,mse,physics_term,total"
     assert len(lines) == 31
+
+
+def test_train_pgnn_fifty_epochs_pinned(tmp_path):
+    # Pins the command's outputs: the saved arrays and the loss-curve bytes.
+    params_path = tmp_path / "params.npz"
+    curve_path = tmp_path / "curve.csv"
+    code = main([
+        "train-pgnn", "--epochs", "50",
+        "--out", str(params_path), "--loss-curve", str(curve_path),
+    ])
+    assert code == 0
+    data = np.load(params_path)
+    digest = hashlib.sha256()
+    for key in data.files:
+        digest.update(data[key].tobytes())
+    assert digest.hexdigest() == (
+        "7202b570a72b5fda36e8542ada521d08cf1473e02422e9842f12c85ff64a8cbf"
+    )
+    assert hashlib.sha256(curve_path.read_bytes()).hexdigest() == (
+        "c149fa648c663ec066c07eadde8cf867083e496de638550ee5206ab90221cdc0"
+    )
 
 
 def test_train_pgnn_from_csv_dataset(tmp_path, dataset):

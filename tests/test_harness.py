@@ -125,6 +125,19 @@ def test_build_default_models_trains_once(monkeypatch):
         assert models.planner_params(mode) is models.pgnn_params
 
 
+def test_build_default_models_trains_like_train_pgnn(dataset):
+    # build_default_models skips the loss history; that must not change a bit
+    # of the trained parameters or running statistics.
+    models = build_default_models(epochs=50)
+    params, _ = pgnn.train_pgnn(dataset, pgnn.TrainConfig(lam=1e-4, epochs=50))
+    built = models.pgnn_params
+    for a, b in zip(
+        built.trainable() + built.bn_mean + built.bn_var,
+        params.trainable() + params.bn_mean + params.bn_var,
+    ):
+        assert np.array_equal(a, b)
+
+
 class TestCrossingSuccess:
     def test_threshold_contract(self):
         # clearance = 1.0 - 0.25 = 0.75
