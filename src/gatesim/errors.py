@@ -1,4 +1,16 @@
-"""Exception types raised by the simulator's operation contracts."""
+"""Exception types raised by the simulator's operation contracts, and the
+integer check shared by its configs."""
+
+import numbers
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer (not a
+    bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class GateSimError(Exception):

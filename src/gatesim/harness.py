@@ -24,6 +24,7 @@ import numpy as np
 
 from . import pgnn as pgnn_mod
 from .csvio import parse_as, read_csv, write_csv
+from .errors import check_integer
 from .fitting import build_dataset, default_training_depths
 from .motor import (
     EnergyCoefficients,
@@ -76,8 +77,7 @@ class EpisodeConfig(WorldConfig):
         for name in ("depth_noise_sigma", "drone_radius"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.max_sensing_bins < 1:
-            raise ValueError("max_sensing_bins must be >= 1")
+        check_integer("max_sensing_bins", self.max_sensing_bins, 1)
 
     @property
     def latency(self) -> float:
@@ -125,7 +125,8 @@ def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
     flight = default_flight_model(coeffs)
     samples = build_dataset(default_training_depths(), coeffs, flight)
     params, _ = pgnn_mod.train_pgnn(
-        samples, pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed)
+        samples, pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed),
+        record_history=False,
     )
     return PlannerModels(coeffs, flight, params, params)
 
@@ -354,10 +355,8 @@ def check_run_args(runs: int, base_seed: int, cells=None) -> None:
     are given, an empty grid."""
     if cells is not None and not cells:
         raise ValueError("grid must be nonempty")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
+    check_integer("runs", runs, 1)
+    check_integer("base_seed", base_seed, 0)
 
 
 def run_paired(cells, models: PlannerModels, runs: int, base_seed: int,

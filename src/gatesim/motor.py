@@ -100,8 +100,6 @@ class EnergyCoefficients:
 
 def energy_coefficients(params: MotorParams) -> EnergyCoefficients:
     """Expand e(t)*i(t) into rotor-speed polynomial coefficients."""
-    if params.k_t <= 0:
-        raise ZeroTorqueConstant("torque constant must be positive")
     r = params.resistance
     kt = params.k_t
     ke = params.k_t  # back-EMF constant equals the torque constant

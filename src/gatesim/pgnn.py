@@ -12,6 +12,9 @@ variant) trains to the same bits.
 Everything is numpy: forward, analytic backprop (including batch-norm batch
 statistics), and an adaptive-moment optimizer, so seeded training is
 bit-reproducible and gradients can be checked against finite differences.
+The optimizer keeps one flat state: every trainable array is a view into one
+vector, updated once per epoch.  The per-epoch loss history costs an extra
+infer-mode pass, so it is computed only where it is read.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     EmptyDataset,
     NonPositiveDepth,
     NonPositiveVelocity,
+    check_integer,
 )
 from .fitting import physics_term
 
@@ -86,19 +90,27 @@ def _sigmoid(z):
     return out
 
 
+def _mean0(a):
+    return np.add.reduce(a, 0) / len(a)  # a.mean(0) bit for bit, without its wrappers
+
+
 def _forward(params: MlpParams, depths: np.ndarray, mode: str):
     """Forward pass; returns predictions and the caches backprop needs."""
+    return _forward_column(params, (depths * DEPTH_SCALE).reshape(-1, 1), mode)
+
+
+def _forward_column(params: MlpParams, x: np.ndarray, mode: str):
+    """Forward pass on the scaled input column x = depth * DEPTH_SCALE."""
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = (depths * DEPTH_SCALE).reshape(-1, 1)
     caches = []
     h = x
     n_hidden = len(params.bn_gamma)
     for i in range(n_hidden):
         a = h @ params.weights[i] + params.biases[i]
         if mode == "train":
-            mu = a.mean(axis=0)
-            var = a.var(axis=0)
+            mu = _mean0(a)
+            var = _mean0((a - mu) ** 2)  # a.var(0) bit for bit
         else:
             mu = params.bn_mean[i]
             var = params.bn_var[i]
@@ -130,12 +142,14 @@ def mlp_forward(params: MlpParams, depth, mode: str = "infer"):
 
 
 def _sample_arrays(samples):
+    """Scaled input column, targets and the (constant) physics term."""
     if len(samples) == 0:
         raise EmptyDataset("no training samples")
     depths = np.array([s.depth for s in samples])
     targets = np.array([s.v_star for s in samples])
     constraints = np.array([s.constraint for s in samples])
-    return depths, targets, constraints
+    x = (depths * DEPTH_SCALE).reshape(-1, 1)
+    return x, targets, physics_term(constraints, targets)
 
 
 def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, float, float]:
@@ -144,10 +158,12 @@ def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, flo
     The physics term is evaluated at the samples' targets, so it does not
     depend on the predictions.
     """
-    _, targets, constraints = _sample_arrays(samples)
-    predictions = np.asarray(predictions, dtype=float)
+    _, targets, phys = _sample_arrays(samples)
+    return _loss_terms(np.asarray(predictions, dtype=float), targets, phys, lam)
+
+
+def _loss_terms(predictions, targets, phys, lam):
     mse = float(np.mean((targets - predictions) ** 2))
-    phys = physics_term(constraints, targets)
     return mse, phys, mse + lam * phys
 
 
@@ -158,10 +174,14 @@ def pgnn_loss_grads(params: MlpParams, samples, lam: float):
     params.trainable() and batch_stats the per-layer (mean, var) pairs seen
     during the pass (used to update running statistics).
     """
-    depths, targets, _ = _sample_arrays(samples)
-    v, caches = _forward(params, depths, "train")
-    loss = loss_terms(v, samples, lam)[2]
-    dv = 2.0 * (v - targets) / len(depths)
+    return _loss_grads(params, *_sample_arrays(samples), lam)
+
+
+def _loss_grads(params, x, targets, phys, lam):
+    """pgnn_loss_grads on the arrays _sample_arrays returns."""
+    v, caches = _forward_column(params, x, "train")
+    loss = _loss_terms(v, targets, phys, lam)[2]
+    dv = 2.0 * (v - targets) / len(x)
 
     out_cache = caches[-1]
     s = out_cache["s"].ravel()
@@ -174,22 +194,22 @@ def pgnn_loss_grads(params: MlpParams, samples, lam: float):
     grads_s = [None] * n_hidden
 
     grads_w[-1] = out_cache["h"].T @ dz
-    grads_b[-1] = dz.sum(axis=0)
+    grads_b[-1] = np.add.reduce(dz, 0)
     dh = dz @ params.weights[-1].T
 
     for i in range(n_hidden - 1, -1, -1):
         cache = caches[i]
         dy = dh * (cache["y"] > 0)
-        grads_g[i] = (dy * cache["xhat"]).sum(axis=0)
-        grads_s[i] = dy.sum(axis=0)
+        grads_g[i] = np.add.reduce(dy * cache["xhat"], 0)
+        grads_s[i] = np.add.reduce(dy, 0)
         dxhat = dy * params.bn_gamma[i]
         da = cache["inv"] * (
             dxhat
-            - dxhat.mean(axis=0)
-            - cache["xhat"] * (dxhat * cache["xhat"]).mean(axis=0)
+            - _mean0(dxhat)
+            - cache["xhat"] * _mean0(dxhat * cache["xhat"])
         )
         grads_w[i] = cache["h"].T @ da
-        grads_b[i] = da.sum(axis=0)
+        grads_b[i] = np.add.reduce(da, 0)
         dh = da @ params.weights[i].T
 
     grads = [*grads_w, *grads_b, *grads_g, *grads_s]
@@ -213,45 +233,62 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer("epochs", self.epochs, 1)
+        check_integer("seed", self.seed, 0)
 
 
-def train_pgnn(samples, config: TrainConfig = TrainConfig()):
+def _flatten_trainable(params: MlpParams) -> np.ndarray:
+    """Make every trainable array a view into one flat vector, in
+    params.trainable() order, and return that vector."""
+    flat = np.concatenate(params.trainable(), axis=None)
+    start = 0
+    for group in (params.weights, params.biases, params.bn_gamma, params.bn_beta):
+        for i, arr in enumerate(group):
+            group[i] = flat[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+    return flat
+
+
+def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: bool = True):
     """Train the network with full-batch adaptive-moment gradient descent.
 
     One step per epoch; seeded and bit-reproducible.  Returns the trained
     parameters and the loss history as (epoch, mse, physics, total) rows.
+    The history costs one infer-mode pass per epoch; record_history=False
+    skips it, returns an empty history and trains the same bits.
     Raises DivergenceDetected when the loss becomes non-finite.
     """
     if len(samples) < 8:
         raise EmptyDataset(f"need >= 8 training samples, got {len(samples)}")
+    x, targets, phys = _sample_arrays(samples)
     params = init_params(config.seed)
+    # One adaptive-moment state over all trainable arrays: elementwise, so
+    # the same bits as one update per array.
+    flat = _flatten_trainable(params)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_state = [np.zeros_like(a) for a in params.trainable()]
-    v_state = [np.zeros_like(a) for a in params.trainable()]
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
     history = []
 
     for epoch in range(config.epochs):
-        loss, grads, batch_stats = pgnn_loss_grads(params, samples, config.lam)
+        loss, grads, batch_stats = _loss_grads(params, x, targets, phys, config.lam)
         if not np.isfinite(loss):
             raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
         step = epoch + 1
-        for k, (arr, grad) in enumerate(zip(params.trainable(), grads)):
-            m_state[k] = beta1 * m_state[k] + (1 - beta1) * grad
-            v_state[k] = beta2 * v_state[k] + (1 - beta2) * grad**2
-            m_hat = m_state[k] / (1 - beta1**step)
-            v_hat = v_state[k] / (1 - beta2**step)
-            arr -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
+        grad = np.concatenate(grads, axis=None)
+        m_state = beta1 * m_state + (1 - beta1) * grad
+        v_state = beta2 * v_state + (1 - beta2) * grad**2
+        m_hat = m_state / (1 - beta1**step)
+        v_hat = v_state / (1 - beta2**step)
+        flat -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
         for i, (mu, var) in enumerate(batch_stats):
             params.bn_mean[i] = BN_MOMENTUM * params.bn_mean[i] + (1 - BN_MOMENTUM) * mu
             params.bn_var[i] = BN_MOMENTUM * params.bn_var[i] + (1 - BN_MOMENTUM) * var
 
-        preds, _ = _forward(params, np.array([s.depth for s in samples]), "infer")
-        history.append((epoch, *loss_terms(preds, samples, config.lam)))
+        if record_history:
+            preds, _ = _forward_column(params, x, "infer")
+            history.append((epoch, *_loss_terms(preds, targets, phys, config.lam)))
 
     return params, history
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .csvio import write_csv
-from .errors import NonPositiveDepth
+from .errors import NonPositiveDepth, check_integer
 
 # One event per row: timestamp [s], pixel column, pixel row, polarity {+1, -1}.
 EVENT_DTYPE = np.dtype([("t", "f8"), ("x", "i4"), ("y", "i4"), ("p", "i1")])
@@ -276,8 +276,7 @@ class WorldConfig:
         _check_ring(self.event_threshold, self.ring_thickness_px)
         if self.spurious_rate < 0:
             raise ValueError(f"spurious_rate must be >= 0, got {self.spurious_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer("seed", self.seed, 0)
 
     @property
     def depth(self) -> float:

@@ -109,13 +109,29 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError, match="max_sensing_bins"):
             EpisodeConfig(max_sensing_bins=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", False), ("max_sensing_bins", 2.5), ("max_sensing_bins", True),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            EpisodeConfig(**{name: value})
+
+
+@pytest.mark.parametrize("runs, base_seed, name", [
+    (2, 1.5, "base_seed"), (2, True, "base_seed"), (2.5, 0, "runs"), (True, 0, "runs"),
+    (0, 0, "runs"), (1, -1, "base_seed"),
+])
+def test_run_args_must_be_integers(runs, base_seed, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        harness.check_run_args(runs, base_seed)
+
 
 def test_build_default_models_trains_once(monkeypatch):
     calls, train = [], pgnn.train_pgnn
 
-    def counting(samples, config):
+    def counting(samples, config, **kwargs):
         calls.append(config)
-        return train(samples, config)
+        return train(samples, config, **kwargs)
 
     monkeypatch.setattr(harness.pgnn_mod, "train_pgnn", counting)
     models = build_default_models(epochs=2)
@@ -136,6 +152,23 @@ def test_build_default_models_trains_like_train_pgnn(dataset):
         params.trainable() + params.bn_mean + params.bn_var,
     ):
         assert np.array_equal(a, b)
+
+
+def test_build_default_models_skips_the_loss_history(monkeypatch, dataset):
+    # The per-epoch infer pass only feeds the loss history, which
+    # build_default_models discards.
+    modes, forward = [], pgnn._forward_column
+
+    def counting(params, x, mode):
+        modes.append(mode)
+        return forward(params, x, mode)
+
+    monkeypatch.setattr(pgnn, "_forward_column", counting)
+    pgnn.train_pgnn(dataset, pgnn.TrainConfig(epochs=3))
+    assert Counter(modes) == {"train": 3, "infer": 3}
+    modes.clear()
+    build_default_models(epochs=3)
+    assert Counter(modes) == {"train": 3}
 
 
 class TestCrossingSuccess:

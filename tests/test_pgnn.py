@@ -185,6 +185,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="lam must be"):
             TrainConfig(lam=lam)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", 0),
+        ("seed", 1.5), ("seed", True), ("seed", -1),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+
     def test_divergence_detected(self, dataset):
         poisoned = list(dataset[:8])
         poisoned[0] = TrainingSample(3.0, float("nan"), np.zeros(5))

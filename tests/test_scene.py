@@ -268,7 +268,7 @@ def test_step_events_equal_dense_reference(oracle_world):
     ({"gate_y0": 2.5}, "gate_y0"), ({"gate_y0": -2.0 - 1e-9}, "gate_y0"),
     ({"gate_bound": 0.0, "gate_y0": 0.0}, "gate_bound"), ({"gate_radius": 0.0}, "gate_radius"),
     ({"spurious_rate": -5.0}, "spurious_rate"), ({"seed": -1}, "seed"),
-    ({"drone_x": -2.0}, "drone_x"),
+    ({"drone_x": -2.0}, "drone_x"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
 ])
 def test_world_settings_rejected(overrides, name):
     with pytest.raises(ValueError, match=name):
