@@ -91,7 +91,7 @@ def _sigmoid(z):
 
 
 def _mean0(a):
-    return np.add.reduce(a, 0) / len(a)  # a.mean(0) bit for bit, without its wrappers
+    return np.add.reduce(a, 0) / len(a)  # a.mean(0) bit for bit, without numpy's wrappers
 
 
 def _forward(params: MlpParams, depths: np.ndarray, mode: str):
@@ -237,18 +237,6 @@ class TrainConfig:
         check_integer("seed", self.seed, 0)
 
 
-def _flatten_trainable(params: MlpParams) -> np.ndarray:
-    """Make every trainable array a view into one flat vector, in
-    params.trainable() order, and return that vector."""
-    flat = np.concatenate(params.trainable(), axis=None)
-    start = 0
-    for group in (params.weights, params.biases, params.bn_gamma, params.bn_beta):
-        for i, arr in enumerate(group):
-            group[i] = flat[start:start + arr.size].reshape(arr.shape)
-            start += arr.size
-    return flat
-
-
 def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: bool = True):
     """Train the network with full-batch adaptive-moment gradient descent.
 
@@ -262,9 +250,15 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
         raise EmptyDataset(f"need >= 8 training samples, got {len(samples)}")
     x, targets, phys = _sample_arrays(samples)
     params = init_params(config.seed)
-    # One adaptive-moment state over all trainable arrays: elementwise, so
-    # the same bits as one update per array.
-    flat = _flatten_trainable(params)
+    # One adaptive-moment state: every trainable array becomes a view into
+    # one flat vector, in params.trainable() order.  The update is
+    # elementwise, so it gives the same bits as one update per array.
+    flat = np.concatenate(params.trainable(), axis=None)
+    start = 0
+    for group in (params.weights, params.biases, params.bn_gamma, params.bn_beta):
+        for i, arr in enumerate(group):
+            group[i] = flat[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m_state = np.zeros_like(flat)
