@@ -112,6 +112,21 @@ class TestLoss:
         with pytest.raises(EmptyDataset):
             pgnn_loss_grads(init_params(0), [], 0.0)
 
+    def test_default_dataset_loss_and_grads_pinned(self, dataset):
+        # Pins the bits of one training step's inputs at init_params(0):
+        # the loss, every gradient array, the batch statistics, and the
+        # (mse, physics, total) terms of the train-mode predictions.
+        params = init_params(0)
+        loss, grads, batch_stats = pgnn_loss_grads(params, dataset, 1e-2)
+        depths = np.array([s.depth for s in dataset])
+        terms = loss_terms(mlp_forward(params, depths, "train"), dataset, 1e-2)
+        digest = hashlib.sha256(np.array([loss, *terms]).tobytes())
+        for arr in [*grads, *(a for pair in batch_stats for a in pair)]:
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "b6b647da0723cc4387d2d3b89f0397887c312678bd5acbd07660044276561c77"
+        )
+
 
 def relative_error(a, b, floor=1e-5):
     # central differences of a float64 loss cannot resolve gradients below
