@@ -9,23 +9,15 @@ from . import harness, pgnn
 from .errors import GateSimError
 from .fitting import build_dataset, default_training_depths, read_dataset_csv
 from .motor import (
-    MotorParams,
     calibration_report,
-    default_flight_model,
-    energy_coefficients,
+    default_energy_model,
     energy_velocity_profile,
     write_profile_csv,
 )
 
 
-def _energy_model():
-    coeffs = energy_coefficients(MotorParams())
-    flight = default_flight_model(coeffs)
-    return coeffs, flight
-
-
 def _cmd_profile_energy(args) -> int:
-    coeffs, flight = _energy_model()
+    coeffs, flight = default_energy_model()
     profiles = {
         float(d): energy_velocity_profile(coeffs, flight, float(d))
         for d in args.depth
@@ -40,7 +32,7 @@ def _cmd_train_pgnn(args) -> int:
     if args.dataset:
         samples = read_dataset_csv(args.dataset)
     else:
-        coeffs, flight = _energy_model()
+        coeffs, flight = default_energy_model()
         samples = build_dataset(default_training_depths(), coeffs, flight)
     config = pgnn.TrainConfig(
         lam=args.lam, epochs=args.epochs, seed=args.seed

@@ -111,7 +111,6 @@ class TrainingSample:
     depth: float
     v_star: float
     constraint: np.ndarray  # k1..k5 of dE/dv
-    at_endpoint: bool = False
 
 
 def physics_term(constraints: np.ndarray, velocities: np.ndarray) -> float:
@@ -133,10 +132,8 @@ def build_dataset(depths, c: EnergyCoefficients, fm: FlightModel) -> list[Traini
     for depth in depths:
         profile = energy_velocity_profile(c, fm, depth)
         fit = fit_quintic(profile)
-        v_star, at_endpoint = optimal_velocity(fit)
-        samples.append(
-            TrainingSample(depth, v_star, fit.derivative_coeffs(), at_endpoint)
-        )
+        v_star, _ = optimal_velocity(fit)
+        samples.append(TrainingSample(depth, v_star, fit.derivative_coeffs()))
     return samples
 
 

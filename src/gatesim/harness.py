@@ -28,10 +28,8 @@ from .errors import check_integer
 from .fitting import build_dataset, default_training_depths
 from .motor import (
     EnergyCoefficients,
-    MotorParams,
     RotorSpeedProfile,
-    default_flight_model,
-    energy_coefficients,
+    default_energy_model,
     motor_power,
     rotor_speeds,
     trajectory_energy,
@@ -121,8 +119,7 @@ def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
     coefficient does not change the trained network: the pgnn and
     vanilla-ann planners share one set of parameters.
     """
-    coeffs = energy_coefficients(MotorParams())
-    flight = default_flight_model(coeffs)
+    coeffs, flight = default_energy_model()
     samples = build_dataset(default_training_depths(), coeffs, flight)
     params, _ = pgnn_mod.train_pgnn(
         samples, pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed),
@@ -143,7 +140,7 @@ class Measurement:
     depth: float
 
 
-def perceive(cfg: EpisodeConfig, models: PlannerModels) -> tuple[Measurement | None, float]:
+def perceive(cfg: EpisodeConfig) -> tuple[Measurement | None, float]:
     """Two gate fixes and the hover time spent taking them.
 
     The depth sensor reads the true depth plus, when ``depth_noise_sigma`` is
@@ -238,7 +235,7 @@ def run_episode(
     recorded as a failed episode charged only for its hover time.
     """
     hover_power = 4.0 * motor_power(models.coeffs, models.flight.hover_speed)
-    m, sensing_time = perceive(cfg, models)
+    m, sensing_time = perceive(cfg)
     if m is None:
         hover_energy = hover_power * sensing_time
         return EpisodeResult(

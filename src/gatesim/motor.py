@@ -153,9 +153,9 @@ class RotorSpeedProfile:
             raise ValueError("profile must have shape (n,)")
         if len(omegas) == 0:
             raise EmptyProfile("rotor speed profile has no samples")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("sample period must be positive")
-        if np.any(omegas < 0) or np.any(omegas > self.omega_max + 1e-9):
+        if not np.all((omegas >= 0) & (omegas <= self.omega_max + 1e-9)):
             raise ValueError("rotor speeds must lie in [0, omega_max]")
 
 
@@ -211,9 +211,11 @@ class FlightModel:
             raise ValueError("drag coefficient must be >= 0")
 
 
-def default_flight_model(c: EnergyCoefficients) -> FlightModel:
-    """Flight model with the hover rotor speed calibrated to ``HOVER_POWER_W``."""
-    return FlightModel(hover_speed=hover_rotor_speed(c))
+def default_energy_model() -> tuple[EnergyCoefficients, FlightModel]:
+    """Coefficients of the default motor and a flight model with the hover
+    rotor speed calibrated to ``HOVER_POWER_W``."""
+    c = energy_coefficients(MotorParams())
+    return c, FlightModel(hover_speed=hover_rotor_speed(c))
 
 
 def rotor_speeds(fm: FlightModel, speeds):

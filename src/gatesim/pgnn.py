@@ -12,9 +12,11 @@ variant) trains to the same bits.
 Everything is numpy: forward, analytic backprop (including batch-norm batch
 statistics), and an adaptive-moment optimizer, so seeded training is
 bit-reproducible and gradients can be checked against finite differences.
-The optimizer keeps one flat state: every trainable array is a view into one
-vector, updated once per epoch.  The per-epoch loss history costs an extra
-infer-mode pass, so it is computed only where it is read.
+The loss, its gradients and training take one batch from training_batch:
+the depths, targets and physics term of a sample list.  The optimizer keeps
+one flat state: every trainable array is a view into one vector, updated
+once per epoch.  The per-epoch loss history costs an extra infer-mode pass,
+so it is computed only where it is read.
 """
 
 from __future__ import annotations
@@ -95,16 +97,11 @@ def _mean0(a):
 
 
 def _forward(params: MlpParams, depths: np.ndarray, mode: str):
-    """Forward pass; returns predictions and the caches backprop needs."""
-    return _forward_column(params, (depths * DEPTH_SCALE).reshape(-1, 1), mode)
-
-
-def _forward_column(params: MlpParams, x: np.ndarray, mode: str):
-    """Forward pass on the scaled input column x = depth * DEPTH_SCALE."""
+    """Forward pass on raw depths; returns predictions and the caches backprop needs."""
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     caches = []
-    h = x
+    h = (depths * DEPTH_SCALE).reshape(-1, 1)
     n_hidden = len(params.bn_gamma)
     for i in range(n_hidden):
         a = h @ params.weights[i] + params.biases[i]
@@ -135,53 +132,45 @@ def mlp_forward(params: MlpParams, depth, mode: str = "infer"):
     smoothly onto [V_MIN, V_MAX].
     """
     depths = np.atleast_1d(np.asarray(depth, dtype=float))
-    if np.any(depths <= 0):
+    if not np.all(depths > 0):
         raise NonPositiveDepth("depth must be positive")
     v, _ = _forward(params, depths, mode)
     return float(v[0]) if np.isscalar(depth) or np.ndim(depth) == 0 else v
 
 
-def _sample_arrays(samples):
-    """Scaled input column, targets and the (constant) physics term."""
+def training_batch(samples):
+    """The batch the loss, its gradients and training take: depths, targets
+    and the (constant) physics term of a sample list."""
     if len(samples) == 0:
         raise EmptyDataset("no training samples")
     depths = np.array([s.depth for s in samples])
     targets = np.array([s.v_star for s in samples])
     constraints = np.array([s.constraint for s in samples])
-    x = (depths * DEPTH_SCALE).reshape(-1, 1)
-    return x, targets, physics_term(constraints, targets)
+    return depths, targets, physics_term(constraints, targets)
 
 
-def loss_terms(predictions: np.ndarray, samples, lam: float) -> tuple[float, float, float]:
+def loss_terms(predictions: np.ndarray, batch, lam: float) -> tuple[float, float, float]:
     """(mse, physics, total) for given predictions; pure arithmetic.
 
-    The physics term is evaluated at the samples' targets, so it does not
+    The physics term is evaluated at the batch's targets, so it does not
     depend on the predictions.
     """
-    _, targets, phys = _sample_arrays(samples)
-    return _loss_terms(np.asarray(predictions, dtype=float), targets, phys, lam)
-
-
-def _loss_terms(predictions, targets, phys, lam):
+    _, targets, phys = batch
     mse = float(np.mean((targets - predictions) ** 2))
     return mse, phys, mse + lam * phys
 
 
-def pgnn_loss_grads(params: MlpParams, samples, lam: float):
-    """Loss and analytic gradients for every trainable array.
+def pgnn_loss_grads(params: MlpParams, batch, lam: float):
+    """Loss and analytic gradients for every trainable array on one batch.
 
     Returns (loss, grads, batch_stats) with grads ordered like
     params.trainable() and batch_stats the per-layer (mean, var) pairs seen
     during the pass (used to update running statistics).
     """
-    return _loss_grads(params, *_sample_arrays(samples), lam)
-
-
-def _loss_grads(params, x, targets, phys, lam):
-    """pgnn_loss_grads on the arrays _sample_arrays returns."""
-    v, caches = _forward_column(params, x, "train")
-    loss = _loss_terms(v, targets, phys, lam)[2]
-    dv = 2.0 * (v - targets) / len(x)
+    depths, targets, _ = batch
+    v, caches = _forward(params, depths, "train")
+    loss = loss_terms(v, batch, lam)[2]
+    dv = 2.0 * (v - targets) / len(depths)
 
     out_cache = caches[-1]
     s = out_cache["s"].ravel()
@@ -248,7 +237,7 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
     """
     if len(samples) < 8:
         raise EmptyDataset(f"need >= 8 training samples, got {len(samples)}")
-    x, targets, phys = _sample_arrays(samples)
+    batch = training_batch(samples)
     params = init_params(config.seed)
     # One adaptive-moment state: every trainable array becomes a view into
     # one flat vector, in params.trainable() order.  The update is
@@ -266,7 +255,7 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
     history = []
 
     for epoch in range(config.epochs):
-        loss, grads, batch_stats = _loss_grads(params, x, targets, phys, config.lam)
+        loss, grads, batch_stats = pgnn_loss_grads(params, batch, config.lam)
         if not np.isfinite(loss):
             raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
         step = epoch + 1
@@ -281,17 +270,17 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
             params.bn_var[i] = BN_MOMENTUM * params.bn_var[i] + (1 - BN_MOMENTUM) * var
 
         if record_history:
-            preds, _ = _forward_column(params, x, "infer")
-            history.append((epoch, *_loss_terms(preds, targets, phys, config.lam)))
+            preds, _ = _forward(params, batch[0], "infer")
+            history.append((epoch, *loss_terms(preds, batch, config.lam)))
 
     return params, history
 
 
 def trajectory_time(v_pred: float, depth: float) -> float:
     """Planned flight duration: depth / predicted velocity."""
-    if v_pred <= 0:
+    if not v_pred > 0:
         raise NonPositiveVelocity(f"v_pred {v_pred} is not positive")
-    if depth <= 0:
+    if not depth > 0:
         raise NonPositiveDepth(f"depth {depth} is not positive")
     return depth / v_pred
 
@@ -306,11 +295,12 @@ _NPZ_PREFIXES = {
 def save_params(params: MlpParams, path) -> None:
     """Persist parameters as a flat npz: w0..w3, b0..b3, g0..g2, s0..s2,
     rm0..rm2 (running means), rv0..rv2 (running variances)."""
-    np.savez(path, **{
-        f"{prefix}{i}": arr
-        for name, prefix in _NPZ_PREFIXES.items()
-        for i, arr in enumerate(getattr(params, name))
-    })
+    with open(path, "wb") as f:  # np.savez appends ".npz" to a bare path
+        np.savez(f, **{
+            f"{prefix}{i}": arr
+            for name, prefix in _NPZ_PREFIXES.items()
+            for i, arr in enumerate(getattr(params, name))
+        })
 
 
 def load_params(path) -> MlpParams:

@@ -33,13 +33,13 @@ class PlannerInput:
     dt: float
 
     def __post_init__(self):
-        if self.t_traj <= 0:
+        if not self.t_traj > 0:
             raise ValueError("t_traj must be positive")
-        if self.bound <= 0:
+        if not self.bound > 0:
             raise ValueError("bound must be positive")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if max(abs(self.y1), abs(self.y2)) > self.bound + 1e-9:
+        if not all(abs(y) <= self.bound + 1e-9 for y in (self.y1, self.y2)):
             raise ValueError("tracked positions must lie within [-bound, +bound]")
 
 
@@ -114,9 +114,9 @@ class MinJerkTrajectory:
         object.__setattr__(self, "end", np.atleast_1d(np.asarray(self.end, float)))
         if self.start.shape != self.end.shape:
             raise ValueError("start and end must have matching axes")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise NonPositiveDuration(f"duration {self.duration} is not positive")
-        if self.sample_dt <= 0:
+        if not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive")
 
 

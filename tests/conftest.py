@@ -2,17 +2,17 @@ import pytest
 
 from gatesim import harness
 from gatesim.fitting import build_dataset, default_training_depths
-from gatesim.motor import MotorParams, default_flight_model, energy_coefficients
+from gatesim.motor import default_energy_model
 
 
 @pytest.fixture(scope="session")
 def coeffs():
-    return energy_coefficients(MotorParams())
+    return default_energy_model()[0]
 
 
 @pytest.fixture(scope="session")
-def flight(coeffs):
-    return default_flight_model(coeffs)
+def flight():
+    return default_energy_model()[1]
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,8 @@ def test_criterion_5_gradient_check(dataset):
     params = pgnn.init_params(0)
     lam = 1e-2
     depths = np.array([s.depth for s in dataset])
-    _, grads, _ = pgnn.pgnn_loss_grads(params, dataset, lam)
+    batch = pgnn.training_batch(dataset)
+    _, grads, _ = pgnn.pgnn_loss_grads(params, batch, lam)
     arrays = params.trainable()
     rng = np.random.default_rng(3)
     eps = 1e-5
@@ -140,7 +141,7 @@ def test_criterion_5_gradient_check(dataset):
     def loss_and_pattern():
         v, caches = pgnn._forward(params, depths, "train")
         pattern = [c["y"] > 0 for c in caches[:-1]]
-        return pgnn.loss_terms(v, dataset, lam)[2], pattern
+        return pgnn.loss_terms(v, batch, lam)[2], pattern
 
     worst = 0.0
     checked = 0

@@ -57,6 +57,15 @@ def test_train_pgnn(tmp_path):
     assert len(lines) == 31
 
 
+def test_train_pgnn_writes_the_out_path_as_given(tmp_path):
+    # np.savez appends ".npz" to a bare path; --out must name the file written.
+    params_path = tmp_path / "params.bin"
+    assert main(["train-pgnn", "--epochs", "2", "--out", str(params_path)]) == 0
+    assert params_path.is_file()
+    assert not (tmp_path / "params.bin.npz").exists()
+    assert 0.5 <= mlp_forward(load_params(params_path), 4.0) <= 20.0
+
+
 def test_train_pgnn_fifty_epochs_pinned(tmp_path):
     # Pins the command's outputs: the saved arrays and the loss-curve bytes.
     params_path = tmp_path / "params.npz"

@@ -101,7 +101,8 @@ class TestBuildDataset:
     def test_constraint_residual_near_zero(self, coeffs, flight):
         samples = build_dataset([2.0, 3.0, 4.0, 5.0, 6.0], coeffs, flight)
         for s in samples:
-            if not s.at_endpoint:
+            fit = fit_quintic(energy_velocity_profile(coeffs, flight, s.depth))
+            if not optimal_velocity(fit)[1]:  # interior optimum
                 scale = max(abs(k) for k in s.constraint)
                 residual = physics_term(s.constraint[None], np.array([s.v_star]))
                 assert abs(residual) < 1e-6 * max(scale, 1.0)

@@ -157,13 +157,13 @@ def test_build_default_models_trains_like_train_pgnn(dataset):
 def test_build_default_models_skips_the_loss_history(monkeypatch, dataset):
     # The per-epoch infer pass only feeds the loss history, which
     # build_default_models discards.
-    modes, forward = [], pgnn._forward_column
+    modes, forward = [], pgnn._forward
 
-    def counting(params, x, mode):
+    def counting(params, depths, mode):
         modes.append(mode)
-        return forward(params, x, mode)
+        return forward(params, depths, mode)
 
-    monkeypatch.setattr(pgnn, "_forward_column", counting)
+    monkeypatch.setattr(pgnn, "_forward", counting)
     pgnn.train_pgnn(dataset, pgnn.TrainConfig(epochs=3))
     assert Counter(modes) == {"train": 3, "infer": 3}
     modes.clear()
@@ -254,7 +254,7 @@ class TestPerceive:
         # one depth sensor per episode: default_rng(seed), one draw per fix
         for mode, fixes in (("depth-baseline", 1), ("event-snn", 2)):
             cfg = EpisodeConfig(perception_mode=mode, depth_noise_sigma=0.05, seed=9)
-            a, b = (perceive(cfg, quick_models)[0] for _ in range(2))
+            a, b = (perceive(cfg)[0] for _ in range(2))
             assert a == b
             draws = np.random.default_rng(9).standard_normal(fixes)
             assert a.depth == cfg.depth + 0.05 * draws[-1]
@@ -275,9 +275,9 @@ class TestPerceive:
         assert calls == [(9,)] * builds
 
     def test_fix_times(self, quick_models):
-        depth, _ = perceive(EpisodeConfig(perception_mode="depth-baseline"), quick_models)
+        depth, _ = perceive(EpisodeConfig(perception_mode="depth-baseline"))
         assert (depth.t1, depth.t2) == (0.0, 0.1)
-        event, sensing = perceive(EpisodeConfig(seed=3), quick_models)
+        event, sensing = perceive(EpisodeConfig(seed=3))
         assert (event.t1, event.t2) == (pytest.approx(0.1), pytest.approx(0.2))
         assert sensing == pytest.approx(0.2)
 
@@ -304,7 +304,7 @@ def test_flight_energy_equals_four_motor_reference(quick_models, mode):
     for run in range(2):
         for ci, cell in enumerate(energy_suite_cells()):
             cfg = derive_run_config(cell, run, 0, ci, template)
-            m, _ = perceive(cfg, quick_models)
+            m, _ = perceive(cfg)
             if m is None:
                 continue
             traj = harness.plan(cfg, quick_models, m)

@@ -177,6 +177,10 @@ class TestTrajectoryEnergy:
             RotorSpeedProfile(np.full(10, -1.0), 1e-3)
         with pytest.raises(ValueError):
             RotorSpeedProfile(np.full(10, 1e6), 1e-3)
+        with pytest.raises(ValueError):
+            RotorSpeedProfile([1.0, np.nan], 1e-3)
+        with pytest.raises(ValueError):
+            RotorSpeedProfile(np.ones(10), np.nan)
 
 
 class TestFlightModel:

@@ -23,6 +23,7 @@ from gatesim.pgnn import (
     pgnn_loss_grads,
     save_params,
     train_pgnn,
+    training_batch,
     trajectory_time,
     write_loss_curve_csv,
 )
@@ -53,6 +54,10 @@ class TestForward:
             mlp_forward(init_params(0), 0.0)
         with pytest.raises(NonPositiveDepth):
             mlp_forward(init_params(0), np.array([2.0, -1.0]))
+        with pytest.raises(NonPositiveDepth):
+            mlp_forward(init_params(0), float("nan"))
+        with pytest.raises(NonPositiveDepth):
+            mlp_forward(init_params(0), np.array([2.0, np.nan]))
 
     def test_architecture_sizes(self):
         params = init_params(0)
@@ -78,48 +83,46 @@ class TestLoss:
         # sample 1: constraint (1,0,0,0,0) at v*=2 -> 1*1*2^0 = 1
         # sample 2: constraint (0,1,0,0,0) at v*=3 -> 2*1*3^1 = 6
         preds = np.array([2.5, 2.0])
-        mse, phys, total = loss_terms(preds, toy_samples(), lam=0.1)
+        mse, phys, total = loss_terms(preds, training_batch(toy_samples()), lam=0.1)
         assert mse == pytest.approx(((2.0 - 2.5) ** 2 + (3.0 - 2.0) ** 2) / 2, abs=1e-12)
         assert phys == pytest.approx(7.0, abs=1e-12)
         assert total == pytest.approx(mse + 0.1 * 7.0, abs=1e-12)
 
     def test_zero_lambda_reduces_to_mse(self):
         params = init_params(1)
-        samples = toy_samples()
-        depths = np.array([s.depth for s in samples])
-        preds = mlp_forward(params, depths, "train")
+        batch = training_batch(toy_samples())
+        preds = mlp_forward(params, batch[0], "train")
         mse = float(np.mean((np.array([2.0, 3.0]) - preds) ** 2))
-        assert pgnn_loss_grads(params, samples, 0.0)[0] == pytest.approx(mse, rel=1e-12)
+        assert pgnn_loss_grads(params, batch, 0.0)[0] == pytest.approx(mse, rel=1e-12)
 
     def test_perfect_predictions_leave_only_physics(self):
-        samples = toy_samples()
         preds = np.array([2.0, 3.0])
-        mse, phys, total = loss_terms(preds, samples, lam=1e-4)
+        mse, phys, total = loss_terms(preds, training_batch(toy_samples()), lam=1e-4)
         assert mse == 0.0
         assert total == pytest.approx(1e-4 * phys, abs=1e-18)
 
     def test_lambda_linearity(self):
         params = init_params(2)
-        samples = toy_samples()
-        l1 = pgnn_loss_grads(params, samples, 0.01)[0]
-        l2 = pgnn_loss_grads(params, samples, 0.07)[0]
+        batch = training_batch(toy_samples())
+        l1 = pgnn_loss_grads(params, batch, 0.01)[0]
+        l2 = pgnn_loss_grads(params, batch, 0.07)[0]
         _, phys, _ = loss_terms(
-            mlp_forward(params, np.array([3.0, 4.0]), "train"), samples, 0.0
+            mlp_forward(params, np.array([3.0, 4.0]), "train"), batch, 0.0
         )
         assert l2 - l1 == pytest.approx((0.07 - 0.01) * phys, rel=1e-9)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            pgnn_loss_grads(init_params(0), [], 0.0)
+            training_batch([])
 
     def test_default_dataset_loss_and_grads_pinned(self, dataset):
         # Pins the bits of one training step's inputs at init_params(0):
         # the loss, every gradient array, the batch statistics, and the
         # (mse, physics, total) terms of the train-mode predictions.
         params = init_params(0)
-        loss, grads, batch_stats = pgnn_loss_grads(params, dataset, 1e-2)
-        depths = np.array([s.depth for s in dataset])
-        terms = loss_terms(mlp_forward(params, depths, "train"), dataset, 1e-2)
+        batch = training_batch(dataset)
+        loss, grads, batch_stats = pgnn_loss_grads(params, batch, 1e-2)
+        terms = loss_terms(mlp_forward(params, batch[0], "train"), batch, 1e-2)
         digest = hashlib.sha256(np.array([loss, *terms]).tobytes())
         for arr in [*grads, *(a for pair in batch_stats for a in pair)]:
             digest.update(arr.tobytes())
@@ -139,7 +142,8 @@ class TestGradients:
         params = init_params(0)
         samples = dataset[:10]
         depths = np.array([s.depth for s in samples])
-        _, grads, _ = pgnn_loss_grads(params, samples, 1e-2)
+        batch = training_batch(samples)
+        _, grads, _ = pgnn_loss_grads(params, batch, 1e-2)
         arrays = params.trainable()
         rng = np.random.default_rng(4)
         eps = 1e-5
@@ -147,7 +151,7 @@ class TestGradients:
         def loss_and_pattern():
             v, caches = pgnn._forward(params, depths, "train")
             pattern = [c["y"] > 0 for c in caches[:-1]]
-            total = loss_terms(v, samples, 1e-2)[2]
+            total = loss_terms(v, batch, 1e-2)[2]
             return total, pattern
 
         analytic, numeric = [], []
@@ -254,6 +258,10 @@ class TestTrajectoryTime:
             trajectory_time(0.0, 4.0)
         with pytest.raises(NonPositiveDepth):
             trajectory_time(8.0, 0.0)
+        with pytest.raises(NonPositiveVelocity):
+            trajectory_time(float("nan"), 4.0)
+        with pytest.raises(NonPositiveDepth):
+            trajectory_time(8.0, float("nan"))
 
 
 def test_params_roundtrip(tmp_path, dataset):

@@ -157,6 +157,12 @@ class TestPredictIntercept:
             PlannerInput(1.0, 2.0, 2.5, 0.2, 0.1)
         with pytest.raises(ValueError):
             PlannerInput(1.0, 2.0, 0.1, 0.2, 0.0)
+        nan = float("nan")
+        for args in [(nan, 2.0, 0.1, 0.2, 0.1), (1.0, nan, 0.1, 0.2, 0.1),
+                     (1.0, 2.0, nan, 0.2, 0.1), (1.0, 2.0, 0.1, nan, 0.1),
+                     (1.0, 2.0, 0.1, 0.2, nan)]:
+            with pytest.raises(ValueError):
+                PlannerInput(*args)
 
 
 def jerk_integral(positions, dt):
@@ -232,6 +238,10 @@ class TestMinJerk:
     def test_domain_and_duration_errors(self):
         with pytest.raises(NonPositiveDuration):
             MinJerkTrajectory([0.0], [1.0], 0.0)
+        with pytest.raises(NonPositiveDuration):
+            MinJerkTrajectory([0.0], [1.0], float("nan"))
+        with pytest.raises(ValueError):
+            MinJerkTrajectory([0.0], [1.0], 1.0, sample_dt=float("nan"))
         traj = MinJerkTrajectory([0.0], [1.0], 1.0)
         with pytest.raises(OutOfDomain):
             sample_state(traj, -0.1)
