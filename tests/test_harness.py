@@ -250,7 +250,7 @@ class TestRunEpisode:
 
 
 class TestPerceive:
-    def test_depth_noise_is_seeded(self, quick_models):
+    def test_depth_noise_is_seeded(self):
         # one depth sensor per episode: default_rng(seed), one draw per fix
         for mode, fixes in (("depth-baseline", 1), ("event-snn", 2)):
             cfg = EpisodeConfig(perception_mode=mode, depth_noise_sigma=0.05, seed=9)
@@ -274,7 +274,7 @@ class TestPerceive:
         run_episode(cfg, quick_models)
         assert calls == [(9,)] * builds
 
-    def test_fix_times(self, quick_models):
+    def test_fix_times(self):
         depth, _ = perceive(EpisodeConfig(perception_mode="depth-baseline"))
         assert (depth.t1, depth.t2) == (0.0, 0.1)
         event, sensing = perceive(EpisodeConfig(seed=3))
