@@ -37,7 +37,7 @@ from gatesim.harness import (
     write_grid_csv,
 )
 from gatesim.motor import motor_power, rotor_speeds
-from gatesim.planner import sample_arrays
+from gatesim.planner import MinJerkTrajectory, sample_arrays
 
 
 class TestEpisodeConfig:
@@ -315,6 +315,13 @@ def test_flight_energy_equals_four_motor_reference(quick_models, mode):
                 unclipped += 1
     # both sides of the motor limit are priced
     assert clipped > 0 and unclipped > 0
+
+
+def test_default_length_flight_energy_pinned(quick_models):
+    # a 0.35 s flight across the default 4 m depth: 351 samples
+    traj = MinJerkTrajectory([2.0, 0.0], [-2.0, 1.5], 0.35)
+    assert len(sample_arrays(traj)[0]) == 351
+    assert harness.fly(quick_models, traj).hex() == "0x1.a28ee280fa35bp+6"
 
 
 def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):

@@ -166,6 +166,15 @@ class TestTrajectoryEnergy:
         for k, e in enumerate(energies):
             assert e >= 4.0 * coeffs.c0 * (k + 1) * dt
 
+    def test_short_profiles_pinned(self, coeffs):
+        # float.hex of 2-, 3- and 4-sample profiles: one-sided rotor
+        # accelerations at both ends, central ones between
+        omegas = [350.0, 380.0, 445.0, 530.0]
+        pinned = {2: "0x1.17745f6c3e329p-1", 3: "0x1.b87efb5a24c46p+0", 4: "0x1.c0bbd5998773dp+1"}
+        for n, want in pinned.items():
+            assert trajectory_energy(coeffs, RotorSpeedProfile(omegas[:n], 1e-3)).hex() == want
+        assert trajectory_energy(coeffs, RotorSpeedProfile(omegas[:1], 1e-3)) == 0.0
+
     def test_empty_profile(self):
         with pytest.raises(EmptyProfile):
             RotorSpeedProfile(np.zeros(0), 1e-3)

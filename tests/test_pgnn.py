@@ -59,6 +59,45 @@ class TestForward:
         with pytest.raises(NonPositiveDepth):
             mlp_forward(init_params(0), np.array([2.0, np.nan]))
 
+    # float.hex of infer-mode predictions at these depths, for the initial
+    # network and for 50 epochs on the default dataset
+    PINNED_DEPTHS = (2.0, 2.137, 3.0, 4.0, 5.0, 6.0)
+    PINNED_INFER = {
+        "init": [
+            "0x1.52a2ea8b4ff49p+3", "0x1.535d46b630f3ap+3", "0x1.57f265a9a78bbp+3",
+            "0x1.5d3f82b691163p+3", "0x1.628979dc09bfep+3", "0x1.67cf8520579bfp+3",
+        ],
+        "fifty-epochs": [
+            "0x1.663062eab1210p+3", "0x1.659437c3a9041p+3", "0x1.6e58a76e1ff91p+3",
+            "0x1.6e5429bd705f9p+3", "0x1.774b23d3b0e0cp+3", "0x1.791f85767244cp+3",
+        ],
+    }
+
+    @pytest.mark.parametrize("net", list(PINNED_INFER))
+    def test_infer_outputs_pinned(self, net, dataset):
+        if net == "init":
+            params = init_params(0)
+        else:
+            params, _ = train_pgnn(dataset, TrainConfig(epochs=50), record_history=False)
+        scalar = [mlp_forward(params, d) for d in self.PINNED_DEPTHS]
+        assert all(type(v) is float for v in scalar)
+        assert [v.hex() for v in scalar] == self.PINNED_INFER[net]
+        # the array path and a 0-d array give the same bits per element
+        array = mlp_forward(params, np.array(self.PINNED_DEPTHS))
+        assert array.tobytes() == np.array(scalar).tobytes()
+        zero_d = mlp_forward(params, np.array(self.PINNED_DEPTHS[1]))
+        assert type(zero_d) is float and zero_d == scalar[1]
+
+    def test_sigmoid_matches_two_branch_formula(self):
+        z = np.array([-800.0, -30.0, -1e-300, -0.0, 0.0, 1e-300, 30.0, 800.0, np.nan])
+        z = z.reshape(-1, 1)  # the output layer's column
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        assert pgnn._sigmoid(z).tobytes() == want.tobytes()
+
     def test_architecture_sizes(self):
         params = init_params(0)
         shapes = [w.shape for w in params.weights]
