@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import typing
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,14 +99,20 @@ class EpisodeResult:
     tracking_lost: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerModels:
-    """Calibrated/trained models shared across episodes."""
+    """Calibrated/trained models shared across episodes; ``hover_power`` is
+    the 4-motor power [W] at the hover rotor speed, derived once from them."""
 
     coeffs: EnergyCoefficients
     flight: FlightModel
     pgnn_params: pgnn_mod.MlpParams
     vanilla_params: pgnn_mod.MlpParams
+    hover_power: float = field(init=False)
+
+    def __post_init__(self):
+        hover_power = 4.0 * motor_power(self.coeffs, self.flight.hover_speed)
+        object.__setattr__(self, "hover_power", hover_power)
 
     def planner_params(self, planner_mode: str) -> pgnn_mod.MlpParams:
         return self.pgnn_params if planner_mode == "pgnn" else self.vanilla_params
@@ -201,8 +207,8 @@ def plan(cfg: EpisodeConfig, models: PlannerModels, m: Measurement) -> MinJerkTr
     """Minimum-jerk path to the predicted intercept: its ``duration`` is the
     flight time from the network, its ``end[1]`` the crossing point y*."""
     L = cfg.gate_bound
-    y1 = float(np.clip(m.y1, -L, L))
-    y2 = float(np.clip(m.y2, -L, L))
+    y1 = min(max(m.y1, -L), L)
+    y2 = min(max(m.y2, -L), L)
     v_pred = pgnn_mod.mlp_forward(models.planner_params(cfg.planner_mode), m.depth, "infer")
     t_traj = pgnn_mod.trajectory_time(v_pred, m.depth)
     y_star = predict_intercept(PlannerInput(t_traj, L, y1, y2, m.t2 - m.t1)).y_star
@@ -234,7 +240,7 @@ def run_episode(
     drone radius of the gate's center at crossing time.  Lost tracking is
     recorded as a failed episode charged only for its hover time.
     """
-    hover_power = 4.0 * motor_power(models.coeffs, models.flight.hover_speed)
+    hover_power = models.hover_power
     m, sensing_time = perceive(cfg)
     if m is None:
         hover_energy = hover_power * sensing_time

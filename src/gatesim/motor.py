@@ -56,20 +56,21 @@ class MotorParams:
     blade_clearance: float = 0.023     # hub clearance between blade and motor [m]
 
     def __post_init__(self):
-        if self.resistance <= 0:
+        # written so that NaN fails each check
+        if not self.resistance > 0:
             raise ValueError("resistance must be positive")
-        if self.k_t <= 0:
+        if not self.k_t > 0:
             raise ZeroTorqueConstant("torque constant must be positive")
-        if min(self.friction_torque, self.damping, self.load_torque_coeff) < 0:
+        if not all(x >= 0 for x in (self.friction_torque, self.damping, self.load_torque_coeff)):
             raise ValueError("friction, damping and load coefficients must be >= 0")
-        if self.rotor_inertia <= 0 or self.blade_mass < 0 or self.blade_radius <= 0:
+        if not (self.rotor_inertia > 0 and self.blade_mass >= 0 and self.blade_radius > 0):
             raise ValueError("inertia, blade mass and radius must be positive")
 
 
 def load_inertia(params: MotorParams) -> float:
     """Propeller load inertia: n_blades * blade_mass * (r - clearance)^2 / 4."""
     arm = params.blade_radius - params.blade_clearance
-    if arm < 0:
+    if not arm >= 0:
         raise BladeClearanceExceedsRadius(
             f"clearance {params.blade_clearance} exceeds radius {params.blade_radius}"
         )
@@ -163,16 +164,20 @@ def trajectory_energy(c: EnergyCoefficients, profile: RotorSpeedProfile) -> floa
     """Actuation energy [J]: trapezoidal integral of the summed 4-motor power.
 
     Rotor accelerations come from central finite differences of the sampled
-    profile (one-sided at the ends).
+    profile (one-sided at the ends), as np.gradient(omegas, dt) computes them.
     """
-    omegas = profile.omegas
+    omegas, dt = profile.omegas, profile.dt
     if len(omegas) == 1:
         return 0.0
-    p = motor_power(c, omegas, np.gradient(omegas, profile.dt))
+    domegas = np.empty_like(omegas)
+    domegas[1:-1] = (omegas[2:] - omegas[:-2]) / (2.0 * dt)
+    domegas[0] = (omegas[1] - omegas[0]) / dt
+    domegas[-1] = (omegas[-1] - omegas[-2]) / dt
+    p = motor_power(c, omegas, domegas)
     # The four motors' powers are added one by one, as a per-sample sum of
     # four equal columns adds them; 4 * p is exact and can differ from that
     # sum in a rounding tie.
-    return float(np.trapezoid(p + p + p + p, dx=profile.dt))
+    return float(np.trapezoid(p + p + p + p, dx=dt))
 
 
 def hover_rotor_speed(c: EnergyCoefficients) -> float:
@@ -205,9 +210,9 @@ class FlightModel:
     omega_max: float = OMEGA_MAX
 
     def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0 or self.hover_speed < 0:
+        if not (self.mass > 0 and self.gravity > 0 and self.hover_speed >= 0):
             raise ValueError("mass, gravity and hover speed must be positive")
-        if self.drag_coeff < 0:
+        if not self.drag_coeff >= 0:
             raise ValueError("drag coefficient must be >= 0")
 
 

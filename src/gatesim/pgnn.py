@@ -12,6 +12,8 @@ variant) trains to the same bits.
 Everything is numpy: forward, analytic backprop (including batch-norm batch
 statistics), and an adaptive-moment optimizer, so seeded training is
 bit-reproducible and gradients can be checked against finite differences.
+The infer pass keeps no backprop caches, and the output sigmoid is one
+branch-free expression with the bits of the two-branch form.
 The loss, its gradients and training take one batch from training_batch:
 the depths, targets and physics term of a sample list.  The optimizer keeps
 one flat state: every trainable array is a view into one vector, updated
@@ -84,12 +86,9 @@ def init_params(seed: int = 0) -> MlpParams:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) serves both branches; minimum(z, -z) keeps a NaN's sign, -abs would not
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _mean0(a):
@@ -97,7 +96,7 @@ def _mean0(a):
 
 
 def _forward(params: MlpParams, depths: np.ndarray, mode: str):
-    """Forward pass on raw depths; returns predictions and the caches backprop needs."""
+    """Forward pass on raw depths: predictions, and in train mode the caches backprop needs."""
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     caches = []
@@ -115,13 +114,15 @@ def _forward(params: MlpParams, depths: np.ndarray, mode: str):
         xhat = (a - mu) * inv
         y = params.bn_gamma[i] * xhat + params.bn_beta[i]
         out = np.maximum(y, 0.0)
-        caches.append({"h": h, "xhat": xhat, "inv": inv, "y": y,
-                       "mu": mu, "var": var})
+        if mode == "train":
+            caches.append({"h": h, "xhat": xhat, "inv": inv, "y": y,
+                           "mu": mu, "var": var})
         h = out
     z = h @ params.weights[-1] + params.biases[-1]
     s = _sigmoid(z)
     v = V_MIN + (V_MAX - V_MIN) * s
-    caches.append({"h": h, "s": s})
+    if mode == "train":
+        caches.append({"h": h, "s": s})
     return v.ravel(), caches
 
 
@@ -131,11 +132,11 @@ def mlp_forward(params: MlpParams, depth, mode: str = "infer"):
     Deterministic in infer mode (running statistics); the output is clamped
     smoothly onto [V_MIN, V_MAX].
     """
-    depths = np.atleast_1d(np.asarray(depth, dtype=float))
-    if not np.all(depths > 0):
+    depths = np.asarray(depth, dtype=float)
+    if not (depths > 0).all():
         raise NonPositiveDepth("depth must be positive")
     v, _ = _forward(params, depths, mode)
-    return float(v[0]) if np.isscalar(depth) or np.ndim(depth) == 0 else v
+    return float(v[0]) if depths.ndim == 0 else v
 
 
 def training_batch(samples):

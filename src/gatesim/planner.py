@@ -121,9 +121,10 @@ class MinJerkTrajectory:
 
 
 def _shape(tau):
-    s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
-    ds = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
-    dds = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
+    tau2, tau3 = tau**2, tau**3
+    s = tau3 * (10.0 - 15.0 * tau + 6.0 * tau2)
+    ds = 30.0 * tau2 - 60.0 * tau3 + 30.0 * tau**4
+    dds = 60.0 * tau - 180.0 * tau2 + 120.0 * tau3
     return s, ds, dds
 
 

@@ -35,11 +35,12 @@ class GateState:
     plane_x: float = -2.0
 
     def __post_init__(self):
-        if self.bound <= 0:
+        # one comparison each, written so that NaN fails it
+        if not self.bound > 0:
             raise ValueError("bound must be positive")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if abs(self.y) > self.bound + 1e-12:
+        if not abs(self.y) <= self.bound + 1e-12:
             raise ValueError("gate position outside [-bound, +bound]")
 
 
@@ -49,7 +50,7 @@ def step_gate(state: GateState, dt: float) -> GateState:
     Total function: any dt >= 0 is folded through the reversal walls, keeping
     |velocity| unchanged and flipping its sign once per wall contact.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError("dt must be >= 0")
     if dt == 0.0 or state.velocity == 0.0:
         return state

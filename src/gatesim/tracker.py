@@ -35,9 +35,9 @@ class LifConfig:
     def __post_init__(self):
         if not 0.0 < self.leak < 1.0:
             raise ValueError("leak factor must be in (0, 1)")
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if np.any(np.asarray(self.kernel) < 0):
+        if not np.all(np.asarray(self.kernel) >= 0):
             raise ValueError("kernel weights must be nonnegative")
 
 

@@ -64,6 +64,8 @@ class TestLoadInertia:
     def test_clearance_beyond_radius(self):
         with pytest.raises(BladeClearanceExceedsRadius):
             load_inertia(MotorParams(blade_clearance=0.2))
+        with pytest.raises(BladeClearanceExceedsRadius):
+            load_inertia(MotorParams(blade_clearance=float("nan")))
 
 
 class TestEnergyCoefficients:
@@ -96,6 +98,18 @@ class TestEnergyCoefficients:
     def test_zero_torque_constant(self):
         with pytest.raises(ZeroTorqueConstant):
             MotorParams(k_t=0.0)
+        with pytest.raises(ZeroTorqueConstant):
+            MotorParams(k_t=float("nan"))
+
+    @pytest.mark.parametrize("name, bad", [
+        ("resistance", 0.0), ("rotor_inertia", 0.0), ("blade_radius", 0.0),
+        ("friction_torque", -1e-3), ("damping", -1e-3), ("load_torque_coeff", -1e-9),
+        ("blade_mass", -1e-3),
+    ])
+    def test_motor_settings_rejected(self, name, bad):
+        for value in (bad, float("nan")):
+            with pytest.raises(ValueError):
+                MotorParams(**{name: value})
 
     def test_nonnegative_for_defaults(self, coeffs):
         for value in (coeffs.c0, coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5):
@@ -211,6 +225,14 @@ class TestFlightModel:
         assert rotor_speeds(fm, 16.0) > fm.omega_max  # the map does not clip
         with pytest.raises(ExceedsMaxRotorSpeed):
             energy_velocity_profile(coeffs, fm, 4.0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("mass", 0.0), ("gravity", 0.0), ("drag_coeff", -0.01), ("hover_speed", -1.0),
+    ])
+    def test_flight_settings_rejected(self, name, bad):
+        for value in (bad, float("nan")):
+            with pytest.raises(ValueError):
+                FlightModel(**{name: value})
 
     def test_array_map_matches_scalar_map_bit_for_bit(self, flight):
         omegas = rotor_speeds(flight, VELOCITY_GRID)

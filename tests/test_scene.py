@@ -55,6 +55,16 @@ class TestStepGate:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             step_gate(GateState(), -0.1)
+        with pytest.raises(ValueError):
+            step_gate(GateState(), float("nan"))
+
+    @pytest.mark.parametrize("overrides", [
+        {"y": 2.5}, {"y": float("nan")}, {"bound": 0.0, "y": 0.0},
+        {"bound": float("nan"), "y": 0.0}, {"radius": 0.0}, {"radius": float("nan")},
+    ])
+    def test_gate_settings_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            GateState(**overrides)
 
     @given(
         y=st.floats(-2.0, 2.0),

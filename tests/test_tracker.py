@@ -98,7 +98,11 @@ class TestLifStep:
         with pytest.raises(ValueError):
             LifConfig(threshold=0.0)
         with pytest.raises(ValueError):
+            LifConfig(threshold=float("nan"))
+        with pytest.raises(ValueError):
             LifConfig(kernel=np.full((3, 3), -0.1))
+        with pytest.raises(ValueError):
+            LifConfig(kernel=np.full((3, 3), np.nan))
 
 
 class TestBoundingBox:
