@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from gatesim import tracker as tracker_mod
 from gatesim.errors import (
@@ -13,6 +16,7 @@ from gatesim.scene import (
     CameraModel,
     EventCameraSim,
     WorldConfig,
+    events_to_frame,
     project_to_pixels,
 )
 from gatesim.tracker import (
@@ -311,3 +315,183 @@ def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
         assert sparse.process_bin(events) == dense.process_bin(events)
         assert sparse.membrane.tobytes() == dense.membrane.tobytes()
         assert spike_counts == dense.spike_counts
+
+
+def _lif_step_reference(grid, config, frame):
+    """lif_step as first written: a float copy of the counts, the kernel sum,
+    leak * grid + drive, then the reset through np.where."""
+    drive = ndimage.correlate(
+        np.asarray(frame).astype(np.float64), np.asarray(config.kernel), mode="constant", cval=0.0
+    )
+    membrane = config.leak * grid + drive
+    spikes = membrane >= config.threshold
+    return np.where(spikes, 0.0, membrane), spikes
+
+
+def _track_bbox_reference(spikes, prev_frame):
+    """track_bbox as first written: a 3x3 maximum filter of the spikes, masked
+    by the previous bin's events, then the extent of what remains."""
+    recovered = ndimage.maximum_filter(spikes, size=3, mode="constant") & (prev_frame > 0)
+    if not recovered.any():
+        return None
+    ys, xs = np.nonzero(recovered)
+    return make_bbox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
+
+
+def _lif_step_checked(grid, config, frame):
+    """lif_step, asserting its bytes against the reference and that it writes
+    neither of its inputs."""
+    grid_before, frame_before = grid.copy(), frame.copy()
+    want_membrane, want_spikes = _lif_step_reference(grid, config, frame)
+    membrane, spikes = lif_step(grid, config, frame)
+    assert membrane.dtype == np.float64 and spikes.dtype == bool
+    assert membrane.shape == spikes.shape == grid.shape
+    assert membrane.tobytes() == want_membrane.tobytes()
+    assert spikes.tobytes() == want_spikes.tobytes()
+    assert grid.tobytes() == grid_before.tobytes()
+    assert frame.dtype == frame_before.dtype and frame.tobytes() == frame_before.tobytes()
+    return membrane, spikes
+
+
+def _track_bbox_checked(spikes, prev_frame):
+    """track_bbox, asserting its box against the reference and that it writes
+    neither of its inputs."""
+    spikes_before, prev_before = spikes.copy(), prev_frame.copy()
+    box = track_bbox(spikes, prev_frame)
+    assert box == _track_bbox_reference(spikes, prev_frame)
+    assert spikes.tobytes() == spikes_before.tobytes()
+    assert prev_frame.tobytes() == prev_before.tobytes()
+    return box
+
+
+class TestLifStepOracle:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    def test_hand_frames_with_border_spikes(self, dtype):
+        rng = np.random.default_rng(4)
+        cfg = LifConfig()
+        # a strided crop of a larger grid that already holds potentials,
+        # as process_bin passes it, with one signed zero among them
+        backing = rng.uniform(0.0, 2.5, (16, 21))
+        grid = backing[2:14, 3:18]
+        grid[6, 6] = -0.0
+        frame = rng.integers(0, 3, grid.shape).astype(dtype)
+        for y, x in ((0, 0), (0, 7), (0, 14), (5, 0), (11, 0), (11, 9), (11, 14), (8, 14)):
+            frame[y, x] = 20
+        if dtype == np.float64:
+            frame[4, 4] = 0.5
+        for _ in range(4):
+            membrane, spikes = _lif_step_checked(grid, cfg, frame)
+            assert spikes[0].any() and spikes[-1].any()
+            assert spikes[:, 0].any() and spikes[:, -1].any()
+            grid = membrane
+
+    def test_other_settings(self):
+        rng = np.random.default_rng(5)
+        cfg = LifConfig(leak=0.37, threshold=2.5, kernel=rng.uniform(0.0, 0.4, (3, 5)))
+        grid = rng.uniform(0.0, 1.2, (9, 13))
+        frame = rng.integers(0, 2, (9, 13)).astype(np.int32)
+        for _ in range(3):
+            grid, spikes = _lif_step_checked(grid, cfg, frame)
+            assert spikes.any() and not spikes.all()
+
+    def test_quiet_and_single_pixel_frames(self):
+        cfg = LifConfig()
+        for shape in ((1, 1), (1, 6), (6, 1), (3, 3)):
+            _lif_step_checked(new_membrane_grid(shape), cfg, np.zeros(shape, dtype=np.int32))
+            _lif_step_checked(np.full(shape, 1.9), cfg, np.full(shape, 20, dtype=np.int32))
+
+
+class TestTrackBboxOracle:
+    SHAPE = (7, 9)
+    SPIKE_AT = [(0, 0), (0, 8), (6, 0), (6, 8),   # corners
+                (0, 4), (6, 4), (3, 0), (3, 8),   # edges
+                (3, 4)]                           # interior
+
+    @pytest.mark.parametrize("spike", SPIKE_AT)
+    def test_single_spike_against_every_nearby_event(self, spike):
+        spikes = np.zeros(self.SHAPE, dtype=bool)
+        spikes[spike] = True
+        y, x = spike
+        for dy in range(-2, 3):
+            for dx in range(-2, 3):
+                if not (0 <= y + dy < self.SHAPE[0] and 0 <= x + dx < self.SHAPE[1]):
+                    continue
+                prev = np.zeros(self.SHAPE, dtype=np.int32)
+                prev[y + dy, x + dx] = 1
+                box = _track_bbox_checked(spikes, prev)
+                assert (box is None) == (max(abs(dy), abs(dx)) == 2)
+
+    @pytest.mark.parametrize("spike", SPIKE_AT)
+    def test_events_only_two_pixels_away(self, spike):
+        spikes = np.zeros(self.SHAPE, dtype=bool)
+        spikes[spike] = True
+        prev = np.ones(self.SHAPE, dtype=np.int32)
+        y, x = spike
+        prev[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2] = 0
+        assert _track_bbox_checked(spikes, prev) is None
+
+    def test_all_spiking(self):
+        rng = np.random.default_rng(6)
+        for shape in ((1, 1), (1, 5), (5, 1), self.SHAPE, (48, 64)):
+            spikes = np.ones(shape, dtype=bool)
+            assert _track_bbox_checked(spikes, np.zeros(shape, dtype=np.int32)) is None
+            full = _track_bbox_checked(spikes, np.ones(shape, dtype=np.int32))
+            assert (full.x_min, full.x_max, full.y_min, full.y_max) == (0, shape[1] - 1, 0, shape[0] - 1)
+            _track_bbox_checked(spikes, (rng.uniform(size=shape) < 0.05).astype(np.int32))
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(7)
+        for spike_rate, event_rate in ((0.002, 0.01), (0.01, 0.1), (0.2, 0.02), (0.5, 0.5)):
+            for dtype in (np.int32, np.float64):
+                spikes = rng.uniform(size=(48, 64)) < spike_rate
+                prev = (rng.uniform(size=(48, 64)) < event_rate).astype(dtype)
+                _track_bbox_checked(spikes, prev)
+
+
+def test_lif_step_and_track_bbox_match_reference_on_world_bins(oracle_world, monkeypatch):
+    # every cropped bin process_bin hands the two stages, and the same bins
+    # over the full sensor
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tracker_mod, "lif_step", counted("lif_step", _lif_step_checked))
+    monkeypatch.setattr(tracker_mod, "track_bbox", counted("track_bbox", _track_bbox_checked))
+    cam = oracle_world.camera()
+    sparse = SnnGateTracker(cam)
+    grid, prev = new_membrane_grid(cam.shape), None
+    sim = EventCameraSim(oracle_world)
+    for _ in range(8):
+        events = np.concatenate([sim.step()[2] for _ in range(10)])
+        sparse.process_bin(events)
+        frame = events_to_frame(events, cam.shape)
+        grid, spikes = _lif_step_checked(grid, sparse.config, frame)
+        if prev is not None:
+            _track_bbox_checked(spikes, prev)
+        prev = frame
+    assert calls["lif_step"] == 8
+
+
+def test_process_bin_looks_up_the_traced_stages_through_the_module(monkeypatch):
+    # perfbench's tracker spans wrap these module attributes; a process_bin
+    # that bound one under another name would zero its span silently
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("events_to_frame", "lif_step", "track_bbox"):
+        monkeypatch.setattr(tracker_mod, name, counted(name, getattr(tracker_mod, name)))
+    cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
+    sim = EventCameraSim(cfg)
+    tracker = SnnGateTracker(cfg.camera())
+    for _ in range(3):
+        tracker.process_bin(np.concatenate([sim.step()[2] for _ in range(10)]))
+    assert calls == Counter(events_to_frame=3, lif_step=3, track_bbox=2)
