@@ -24,6 +24,7 @@ from .errors import (
     EmptyProfile,
     ExceedsMaxRotorSpeed,
     ZeroTorqueConstant,
+    check_integer,
 )
 
 RPM_TO_RAD = 2.0 * np.pi / 60.0
@@ -65,6 +66,7 @@ class MotorParams:
             raise ValueError("friction, damping and load coefficients must be >= 0")
         if not (self.rotor_inertia > 0 and self.blade_mass >= 0 and self.blade_radius > 0):
             raise ValueError("inertia, blade mass and radius must be positive")
+        check_integer("n_blades", self.n_blades, 1)
 
 
 def load_inertia(params: MotorParams) -> float:
@@ -212,6 +214,8 @@ class FlightModel:
     def __post_init__(self):
         if not (self.mass > 0 and self.gravity > 0 and self.hover_speed >= 0):
             raise ValueError("mass, gravity and hover speed must be positive")
+        if not self.omega_max > 0:
+            raise ValueError("rotor speed limit must be positive")
         if not self.drag_coeff >= 0:
             raise ValueError("drag coefficient must be >= 0")
 

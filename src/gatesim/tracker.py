@@ -52,20 +52,23 @@ def lif_step(
     """One LIF update: U <- leak * U + kernel (x) frame; spike and reset at threshold.
 
     ``frame`` holds per-pixel event counts for the time bin (zero-padded
-    borders for the neighborhood sum).  Returns the new membrane grid and a
-    boolean spike frame.
+    borders for the neighborhood sum); a negative or NaN count raises
+    ValueError.  Returns a new membrane grid and a boolean spike frame;
+    neither input is written.  The kernel sum is taken straight from the
+    counts, and the leak and the reset are applied to it in place: drive +
+    leak * U has the bits of leak * U + drive, as IEEE addition commutes.
     """
     frame = np.asarray(frame)
     if frame.shape != grid.shape:
         raise DimensionMismatch(f"frame {frame.shape} vs grid {grid.shape}")
-    if np.any(frame < 0):
+    if not (frame >= 0).all():
         raise ValueError("event counts must be nonnegative")
-    drive = ndimage.correlate(
-        frame.astype(np.float64), np.asarray(config.kernel), mode="constant", cval=0.0
+    membrane = ndimage.correlate(
+        frame, np.asarray(config.kernel), output=np.float64, mode="constant", cval=0.0
     )
-    membrane = config.leak * grid + drive
+    membrane += config.leak * grid
     spikes = membrane >= config.threshold
-    membrane = np.where(spikes, 0.0, membrane)
+    membrane[spikes] = 0.0
     return membrane, spikes
 
 
@@ -93,24 +96,34 @@ def make_bbox(x_min: int, x_max: int, y_min: int, y_max: int) -> BoundingBox:
     return BoundingBox(x_min, x_max, y_min, y_max, cx, cy)
 
 
+# row and column offsets of a pixel's 3x3 neighbourhood
+_NEIGHBOUR_DY, _NEIGHBOUR_DX = np.mgrid[-1:2, -1:2].reshape(2, 9)
+
+
 def track_bbox(spikes: np.ndarray, prev_frame: np.ndarray) -> BoundingBox | None:
     """Box over the previous bin's events recovered around spiking neurons.
 
     Event pixels within the 3x3 neighborhood of any spiking neuron are
     recovered (one-bin delay); returns None when nothing spiked or no events
-    fall in the spiking neighborhoods.
+    fall in the spiking neighborhoods.  Only the spikes' neighbours are read:
+    clipping an off-frame neighbour to the frame lands on the pixel beside
+    it, itself a neighbour, so the recovered set is that of a 3x3 maximum
+    filter of the spikes masked by the events.
     """
     spikes = np.asarray(spikes, dtype=bool)
     prev_frame = np.asarray(prev_frame)
     if spikes.shape != prev_frame.shape:
         raise DimensionMismatch(f"spikes {spikes.shape} vs events {prev_frame.shape}")
-    if not spikes.any():
+    h, w = spikes.shape
+    ys, xs = np.divmod(np.flatnonzero(spikes), w)
+    if not len(ys):
         return None
-    neighborhood = ndimage.maximum_filter(spikes, size=3, mode="constant", cval=False)
-    recovered = neighborhood & (prev_frame > 0)
+    ys = np.clip(ys[:, None] + _NEIGHBOUR_DY, 0, h - 1)
+    xs = np.clip(xs[:, None] + _NEIGHBOUR_DX, 0, w - 1)
+    recovered = prev_frame[ys, xs] > 0
     if not recovered.any():
         return None
-    ys, xs = np.nonzero(recovered)
+    ys, xs = ys[recovered], xs[recovered]
     return make_bbox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
 
 

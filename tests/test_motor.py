@@ -111,6 +111,11 @@ class TestEnergyCoefficients:
             with pytest.raises(ValueError):
                 MotorParams(**{name: value})
 
+    @pytest.mark.parametrize("bad", [-3, 0, 1.5, True])
+    def test_blade_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_blades"):
+            MotorParams(n_blades=bad)
+
     def test_nonnegative_for_defaults(self, coeffs):
         for value in (coeffs.c0, coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5):
             assert value >= 0
@@ -228,6 +233,7 @@ class TestFlightModel:
 
     @pytest.mark.parametrize("name, bad", [
         ("mass", 0.0), ("gravity", 0.0), ("drag_coeff", -0.01), ("hover_speed", -1.0),
+        ("omega_max", -1.0), ("omega_max", 0.0),
     ])
     def test_flight_settings_rejected(self, name, bad):
         for value in (bad, float("nan")):

@@ -94,6 +94,12 @@ class TestLifStep:
         with pytest.raises(ValueError):
             lif_step(new_membrane_grid((4, 4)), LifConfig(), frame)
 
+    def test_nan_counts_rejected(self):
+        frame = np.zeros((4, 4))
+        frame[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            lif_step(new_membrane_grid((4, 4)), LifConfig(), frame)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LifConfig(leak=0.0)
