@@ -286,6 +286,62 @@ class TestTraining:
         )
 
 
+def reference_train(samples, config, record_history):
+    """train_pgnn with the allocating adaptive-moment update it was first
+    written with: every expression builds fresh vectors."""
+    batch = training_batch(samples)
+    params = init_params(config.seed)
+    flat = np.concatenate(params.trainable(), axis=None)
+    start = 0
+    for group in (params.weights, params.biases, params.bn_gamma, params.bn_beta):
+        for i, arr in enumerate(group):
+            group[i] = flat[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
+    history = []
+    for epoch in range(config.epochs):
+        loss, grads, batch_stats = pgnn_loss_grads(params, batch, config.lam)
+        step = epoch + 1
+        grad = np.concatenate(grads, axis=None)
+        m_state = beta1 * m_state + (1 - beta1) * grad
+        v_state = beta2 * v_state + (1 - beta2) * grad**2
+        m_hat = m_state / (1 - beta1**step)
+        v_hat = v_state / (1 - beta2**step)
+        flat -= pgnn.LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
+        for i, (mu, var) in enumerate(batch_stats):
+            params.bn_mean[i] = pgnn.BN_MOMENTUM * params.bn_mean[i] + (1 - pgnn.BN_MOMENTUM) * mu
+            params.bn_var[i] = pgnn.BN_MOMENTUM * params.bn_var[i] + (1 - pgnn.BN_MOMENTUM) * var
+        if record_history:
+            preds, _ = pgnn._forward(params, batch[0], "infer")
+            history.append((epoch, *loss_terms(preds, batch, config.lam)))
+    return params, history
+
+
+@pytest.mark.parametrize("seed, record_history", [(0, False), (3, False), (3, True)])
+def test_training_matches_allocating_reference(dataset, seed, record_history):
+    config = TrainConfig(lam=1e-4, epochs=60, seed=seed)
+    params, history = train_pgnn(dataset, config, record_history=record_history)
+    want, want_history = reference_train(dataset, config, record_history)
+    got_arrays = params.trainable() + params.bn_mean + params.bn_var
+    want_arrays = want.trainable() + want.bn_mean + want.bn_var
+    assert len(got_arrays) == len(want_arrays) == 20
+    for a, b in zip(got_arrays, want_arrays):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert history == want_history
+    assert len(history) == (config.epochs if record_history else 0)
+    # the trainable arrays are still views into one flat vector, in order
+    flat = params.weights[0].base
+    assert flat is not None and flat.ndim == 1
+    assert flat.size == sum(a.size for a in params.trainable())
+    offset = 0
+    for arr in params.trainable():
+        assert arr.base is flat and np.shares_memory(arr, flat)
+        assert np.array_equal(flat[offset:offset + arr.size], arr.ravel())
+        offset += arr.size
+
+
 class TestTrajectoryTime:
     def test_examples(self):
         assert trajectory_time(8.0, 4.0) == pytest.approx(0.5)
