@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import harness, pgnn
 from .errors import GateSimError
@@ -28,7 +29,15 @@ def _cmd_profile_energy(args) -> int:
     return 0
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any training when an output path's directory is missing."""
+    for path in paths:
+        if path is not None and not Path(path).absolute().parent.is_dir():
+            raise ValueError(f"directory of output {path} does not exist")
+
+
 def _cmd_train_pgnn(args) -> int:
+    _check_out_dirs(args.out, args.loss_curve)
     if args.dataset:
         samples = read_dataset_csv(args.dataset)
     else:
@@ -51,6 +60,7 @@ def _cmd_train_pgnn(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = harness.load_episode_config(args.config)
+    _check_out_dirs(args.trajectory_out)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     result = harness.run_episode(cfg, models, trajectory_out=args.trajectory_out)
     print(f"success: {result.success}")
@@ -69,6 +79,7 @@ def _cmd_run(args) -> int:
 def _cmd_benchmark(args) -> int:
     cells = harness.load_grid_csv(args.grid) if args.grid else harness.default_success_grid()
     harness.check_run_args(args.runs, args.seed, cells)
+    _check_out_dirs(args.out)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     results = harness.success_rate_grid(
         cells, models, runs=args.runs, base_seed=args.seed
@@ -80,6 +91,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_ablation(args) -> int:
     harness.check_run_args(args.runs, args.seed)
+    _check_out_dirs(args.out)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     cells = harness.ablation_matrix(models, runs=args.runs, base_seed=args.seed)
     harness.write_ablation_csv(cells, args.out)

@@ -151,13 +151,19 @@ def write_dataset_csv(samples, path) -> None:
 
 
 def _dataset_sample(row: dict) -> TrainingSample:
-    if not 0 < row["depth"] < np.inf:
-        raise ValueError(f"depth must be finite and positive, got {row['depth']}")
-    return TrainingSample(row["depth"], row["v_star"], np.array([row[f"k{j}"] for j in range(1, 6)]))
+    for name in ("depth", "v_star"):
+        if not 0 < row[name] < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {row[name]}")
+    k = [row[f"k{j}"] for j in range(1, 6)]
+    for j, value in enumerate(k, 1):
+        if not abs(value) < np.inf:
+            raise ValueError(f"k{j} must be finite, got {value}")
+    return TrainingSample(row["depth"], row["v_star"], np.array(k))
 
 
 def read_dataset_csv(path) -> list[TrainingSample]:
     """Load training samples written by write_dataset_csv; a missing or
-    unknown column, a short row, a non-number or a depth that is not finite
-    and positive raises ValueError naming it."""
+    unknown column, a short row, a non-number, a depth or v_star that is not
+    finite and positive, or a non-finite k1..k5 raises ValueError naming it
+    and its line."""
     return read_csv(path, dict.fromkeys(_DATASET_COLUMNS, float), build=_dataset_sample)

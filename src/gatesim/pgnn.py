@@ -17,8 +17,10 @@ branch-free expression with the bits of the two-branch form.
 The loss, its gradients and training take one batch from training_batch:
 the depths, targets and physics term of a sample list.  The optimizer keeps
 one flat state: every trainable array is a view into one vector, updated
-once per epoch.  The per-epoch loss history costs an extra infer-mode pass,
-so it is computed only where it is read.
+once per epoch.  The update runs in place in vectors allocated once per
+training run, with the operations of the textbook expression in the same
+order, so it trains the same bits.  The per-epoch loss history costs an
+extra infer-mode pass, so it is computed only where it is read.
 """
 
 from __future__ import annotations
@@ -251,8 +253,8 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
             start += arr.size
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_state = np.zeros_like(flat)
-    v_state = np.zeros_like(flat)
+    # the moments, the gradient and two scratch vectors, allocated once
+    m_state, v_state, grad, t1, t2 = (np.zeros_like(flat) for _ in range(5))
     history = []
 
     for epoch in range(config.epochs):
@@ -260,12 +262,24 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
         if not np.isfinite(loss):
             raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
         step = epoch + 1
-        grad = np.concatenate(grads, axis=None)
-        m_state = beta1 * m_state + (1 - beta1) * grad
-        v_state = beta2 * v_state + (1 - beta2) * grad**2
-        m_hat = m_state / (1 - beta1**step)
-        v_hat = v_state / (1 - beta2**step)
-        flat -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
+        np.concatenate(grads, axis=None, out=grad)
+        # In place, with the operations and operands of
+        #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
+        #   flat -= LR * (m/c1) / (sqrt(v/c2) + eps)
+        # so the bits are the same: scalar products commute and g**2 is g*g.
+        m_state *= beta1
+        m_state += np.multiply(grad, 1 - beta1, out=t1)
+        v_state *= beta2
+        np.multiply(grad, grad, out=t1)
+        t1 *= 1 - beta2
+        v_state += t1
+        np.divide(m_state, 1 - beta1**step, out=t1)
+        np.divide(v_state, 1 - beta2**step, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        t1 *= LEARNING_RATE
+        t1 /= t2
+        flat -= t1
         for i, (mu, var) in enumerate(batch_stats):
             params.bn_mean[i] = BN_MOMENTUM * params.bn_mean[i] + (1 - BN_MOMENTUM) * mu
             params.bn_var[i] = BN_MOMENTUM * params.bn_var[i] + (1 - BN_MOMENTUM) * var
@@ -304,14 +318,39 @@ def save_params(params: MlpParams, path) -> None:
         })
 
 
+def _npz_layout() -> dict:
+    """npz key -> (MlpParams list, array shape) of every array save_params
+    writes for the HIDDEN_SIZES architecture, in file order."""
+    sizes = [1, *HIDDEN_SIZES, 1]
+    hidden = [(n,) for n in HIDDEN_SIZES]
+    shapes = {
+        "weights": list(zip(sizes[:-1], sizes[1:])), "biases": [(n,) for n in sizes[1:]],
+        "bn_gamma": hidden, "bn_beta": hidden, "bn_mean": hidden, "bn_var": hidden,
+    }
+    return {
+        f"{prefix}{i}": (name, shape)
+        for name, prefix in _NPZ_PREFIXES.items()
+        for i, shape in enumerate(shapes[name])
+    }
+
+
 def load_params(path) -> MlpParams:
-    """Load parameters written by save_params."""
-    data = np.load(path)
+    """Load parameters written by save_params.  A missing or unexpected key,
+    or an array whose shape does not fit HIDDEN_SIZES, raises ValueError
+    naming the key."""
+    layout = _npz_layout()
     params = MlpParams()
-    for name, prefix in _NPZ_PREFIXES.items():
-        arrays = getattr(params, name)
-        while f"{prefix}{len(arrays)}" in data.files:
-            arrays.append(data[f"{prefix}{len(arrays)}"])
+    with np.load(path) as data:
+        for key in data.files:
+            if key not in layout:
+                raise ValueError(f"unexpected array {key!r} in {path}")
+        for key, (name, shape) in layout.items():
+            if key not in data.files:
+                raise ValueError(f"missing array {key!r} in {path}")
+            arr = data[key]
+            if arr.shape != shape:
+                raise ValueError(f"array {key!r} in {path} has shape {arr.shape}, expected {shape}")
+            getattr(params, name).append(arr)
     return params
 
 

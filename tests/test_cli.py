@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gatesim import harness
+from gatesim import harness, pgnn
 from gatesim.cli import main
 from gatesim.harness import EpisodeConfig, write_episode_config, write_grid_cells_csv
 from gatesim.harness import GridCell
@@ -275,3 +275,34 @@ def test_benchmark_rejects_empty_grid_before_training(tmp_path, capsys, build_ca
     assert err.startswith("error:") and "grid must be nonempty" in err
     assert build_calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--loss-curve"])
+def test_train_pgnn_checks_output_dirs_before_training(tmp_path, capsys, monkeypatch, flag):
+    calls = []
+    monkeypatch.setattr(pgnn, "train_pgnn", lambda *a, **k: calls.append(a))
+    paths = {"--out": tmp_path / "p.npz", "--loss-curve": tmp_path / "curve.csv"}
+    paths[flag] = tmp_path / "missing" / "x"
+    argv = ["train-pgnn", "--epochs", "1"]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths[flag]) in err and "does not exist" in err
+    assert calls == []
+    assert not any(p.exists() for p in paths.values())
+
+
+@pytest.mark.parametrize("command", ["benchmark", "ablation", "run"])
+def test_commands_check_output_dir_before_training(tmp_path, capsys, build_calls, command):
+    out = tmp_path / "missing" / "out.csv"
+    if command == "run":
+        cfg_path = tmp_path / "episode.ini"
+        write_episode_config(EpisodeConfig(), cfg_path)
+        argv = ["run", "--config", str(cfg_path), "--trajectory-out", str(out)]
+    else:
+        argv = [command, "--out", str(out)]
+    assert main([*argv, "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and "does not exist" in err
+    assert build_calls == []

@@ -144,3 +144,31 @@ def test_dataset_csv_roundtrip(tmp_path, dataset):
         assert a.depth == pytest.approx(b.depth, abs=1e-6)
         assert a.v_star == pytest.approx(b.v_star, abs=1e-9)
         assert np.allclose(a.constraint, b.constraint, rtol=1e-11)
+
+
+GOOD_ROW = {"depth": "2", "v_star": "8", **{f"k{j}": "1" for j in range(1, 6)}}
+
+
+@pytest.mark.parametrize("column, value", [
+    ("v_star", "-3.0"), ("v_star", "0"), ("v_star", "nan"), ("v_star", "inf"),
+    ("k1", "nan"), ("k3", "inf"), ("k5", "-inf"),
+])
+def test_dataset_csv_rejects_bad_values(tmp_path, column, value):
+    path = tmp_path / "dataset.csv"
+    bad = {**GOOD_ROW, column: value}
+    path.write_text(
+        ",".join(GOOD_ROW) + "\n"
+        + ",".join(GOOD_ROW.values()) + "\n"
+        + ",".join(bad.values()) + "\n"
+    )
+    must = "must be finite and positive" if column == "v_star" else "must be finite"
+    with pytest.raises(ValueError, match=f"^line 3 of .*: {column} {must}, got {float(value)}$"):
+        read_dataset_csv(path)
+
+
+def test_dataset_csv_accepts_negative_coefficients(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("depth,v_star,k1,k2,k3,k4,k5\n2,8,-1.5,0,-2e-3,1,-0\n")
+    (sample,) = read_dataset_csv(path)
+    assert sample.v_star == 8.0
+    assert sample.constraint.tolist() == [-1.5, 0.0, -2e-3, 1.0, -0.0]

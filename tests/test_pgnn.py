@@ -380,3 +380,30 @@ def test_params_roundtrip(tmp_path, dataset):
     lines = curve.read_text().splitlines()
     assert lines[0] == "epoch,mse,physics_term,total"
     assert len(lines) == 11
+
+
+def saved_arrays(params):
+    return {
+        f"{prefix}{i}": arr
+        for name, prefix in pgnn._NPZ_PREFIXES.items()
+        for i, arr in enumerate(getattr(params, name))
+    }
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda a: a.pop("b2"), "missing array 'b2'"),
+    (lambda a: a.pop("rv2"), "missing array 'rv2'"),
+    (lambda a: [a.pop(k) for k in list(a) if k != "w0"], "missing array 'w1'"),
+    (lambda a: a.update(w4=np.zeros((1, 1))), "unexpected array 'w4'"),
+    (lambda a: a.update(extra=np.zeros(3)), "unexpected array 'extra'"),
+    (lambda a: a.update(w1=np.zeros((64, 127))), r"'w1' .* shape \(64, 127\), expected \(64, 128\)"),
+    (lambda a: a.update(g0=np.zeros((64, 1))), r"'g0' .* shape \(64, 1\), expected \(64,\)"),
+    (lambda a: a.update(rm2=np.float64(1.0)), r"'rm2' .* shape \(\), expected \(128,\)"),
+])
+def test_load_params_rejects_other_architectures(tmp_path, edit, match):
+    arrays = saved_arrays(init_params(0))
+    edit(arrays)
+    path = tmp_path / "params.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=match):
+        load_params(path)
