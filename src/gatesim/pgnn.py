@@ -307,50 +307,40 @@ _NPZ_PREFIXES = {
 }
 
 
+def _npz_arrays(params: MlpParams) -> dict:
+    """Each parameter array by its npz key, in file order."""
+    return {
+        f"{prefix}{i}": arr
+        for name, prefix in _NPZ_PREFIXES.items()
+        for i, arr in enumerate(getattr(params, name))
+    }
+
+
 def save_params(params: MlpParams, path) -> None:
     """Persist parameters as a flat npz: w0..w3, b0..b3, g0..g2, s0..s2,
     rm0..rm2 (running means), rv0..rv2 (running variances)."""
     with open(path, "wb") as f:  # np.savez appends ".npz" to a bare path
-        np.savez(f, **{
-            f"{prefix}{i}": arr
-            for name, prefix in _NPZ_PREFIXES.items()
-            for i, arr in enumerate(getattr(params, name))
-        })
-
-
-def _npz_layout() -> dict:
-    """npz key -> (MlpParams list, array shape) of every array save_params
-    writes for the HIDDEN_SIZES architecture, in file order."""
-    sizes = [1, *HIDDEN_SIZES, 1]
-    hidden = [(n,) for n in HIDDEN_SIZES]
-    shapes = {
-        "weights": list(zip(sizes[:-1], sizes[1:])), "biases": [(n,) for n in sizes[1:]],
-        "bn_gamma": hidden, "bn_beta": hidden, "bn_mean": hidden, "bn_var": hidden,
-    }
-    return {
-        f"{prefix}{i}": (name, shape)
-        for name, prefix in _NPZ_PREFIXES.items()
-        for i, shape in enumerate(shapes[name])
-    }
+        np.savez(f, **_npz_arrays(params))
 
 
 def load_params(path) -> MlpParams:
-    """Load parameters written by save_params.  A missing or unexpected key,
-    or an array whose shape does not fit HIDDEN_SIZES, raises ValueError
-    naming the key."""
-    layout = _npz_layout()
-    params = MlpParams()
+    """Load parameters written by save_params.  The file must hold exactly
+    the arrays of init_params' HIDDEN_SIZES architecture, with their shapes;
+    a missing, unexpected or misshapen array raises ValueError naming it."""
+    params = init_params()
+    expected = _npz_arrays(params)
     with np.load(path) as data:
         for key in data.files:
-            if key not in layout:
+            if key not in expected:
                 raise ValueError(f"unexpected array {key!r} in {path}")
-        for key, (name, shape) in layout.items():
+        for key, arr in expected.items():
             if key not in data.files:
                 raise ValueError(f"missing array {key!r} in {path}")
-            arr = data[key]
-            if arr.shape != shape:
-                raise ValueError(f"array {key!r} in {path} has shape {arr.shape}, expected {shape}")
-            getattr(params, name).append(arr)
+            stored = data[key]
+            if stored.shape != arr.shape:
+                raise ValueError(f"array {key!r} in {path} has shape {stored.shape}, "
+                                 f"expected {arr.shape}")
+            arr[...] = stored
     return params
 
 

@@ -382,14 +382,6 @@ def test_params_roundtrip(tmp_path, dataset):
     assert len(lines) == 11
 
 
-def saved_arrays(params):
-    return {
-        f"{prefix}{i}": arr
-        for name, prefix in pgnn._NPZ_PREFIXES.items()
-        for i, arr in enumerate(getattr(params, name))
-    }
-
-
 @pytest.mark.parametrize("edit, match", [
     (lambda a: a.pop("b2"), "missing array 'b2'"),
     (lambda a: a.pop("rv2"), "missing array 'rv2'"),
@@ -401,7 +393,7 @@ def saved_arrays(params):
     (lambda a: a.update(rm2=np.float64(1.0)), r"'rm2' .* shape \(\), expected \(128,\)"),
 ])
 def test_load_params_rejects_other_architectures(tmp_path, edit, match):
-    arrays = saved_arrays(init_params(0))
+    arrays = pgnn._npz_arrays(init_params(0))
     edit(arrays)
     path = tmp_path / "params.npz"
     np.savez(path, **arrays)
