@@ -30,9 +30,14 @@ def _cmd_profile_energy(args) -> int:
 
 
 def _check_out_dirs(*paths) -> None:
-    """Fail before any training when an output path's directory is missing."""
+    """Fail before any training when an output path is a directory or its
+    directory is missing."""
     for path in paths:
-        if path is not None and not Path(path).absolute().parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ValueError(f"output {path} is a directory")
+        if not Path(path).absolute().parent.is_dir():
             raise ValueError(f"directory of output {path} does not exist")
 
 

@@ -278,19 +278,25 @@ def test_benchmark_rejects_empty_grid_before_training(tmp_path, capsys, build_ca
 
 
 @pytest.mark.parametrize("flag", ["--out", "--loss-curve"])
-def test_train_pgnn_checks_output_dirs_before_training(tmp_path, capsys, monkeypatch, flag):
+@pytest.mark.parametrize("bad, message", [
+    ("missing/x", "does not exist"),
+    (".", "is a directory"),
+])
+def test_train_pgnn_checks_output_paths_before_training(
+    tmp_path, capsys, monkeypatch, flag, bad, message
+):
     calls = []
     monkeypatch.setattr(pgnn, "train_pgnn", lambda *a, **k: calls.append(a))
     paths = {"--out": tmp_path / "p.npz", "--loss-curve": tmp_path / "curve.csv"}
-    paths[flag] = tmp_path / "missing" / "x"
+    paths[flag] = tmp_path / bad
     argv = ["train-pgnn", "--epochs", "1"]
     for name, path in paths.items():
         argv += [name, str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(paths[flag]) in err and "does not exist" in err
+    assert err.startswith("error:") and str(paths[flag]) in err and message in err
     assert calls == []
-    assert not any(p.exists() for p in paths.values())
+    assert not any(p.is_file() for p in paths.values())
 
 
 @pytest.mark.parametrize("command", ["benchmark", "ablation", "run"])
