@@ -29,7 +29,7 @@ def _cmd_profile_energy(args) -> int:
     return 0
 
 
-def _check_out_dirs(*paths) -> None:
+def _check_out_paths(*paths) -> None:
     """Fail before any training when an output path is a directory or its
     directory is missing."""
     for path in paths:
@@ -42,7 +42,7 @@ def _check_out_dirs(*paths) -> None:
 
 
 def _cmd_train_pgnn(args) -> int:
-    _check_out_dirs(args.out, args.loss_curve)
+    _check_out_paths(args.out, args.loss_curve)
     if args.dataset:
         samples = read_dataset_csv(args.dataset)
     else:
@@ -65,7 +65,7 @@ def _cmd_train_pgnn(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = harness.load_episode_config(args.config)
-    _check_out_dirs(args.trajectory_out)
+    _check_out_paths(args.trajectory_out)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     result = harness.run_episode(cfg, models, trajectory_out=args.trajectory_out)
     print(f"success: {result.success}")
@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
 def _cmd_benchmark(args) -> int:
     cells = harness.load_grid_csv(args.grid) if args.grid else harness.default_success_grid()
     harness.check_run_args(args.runs, args.seed, cells)
-    _check_out_dirs(args.out)
+    _check_out_paths(args.out)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     results = harness.success_rate_grid(
         cells, models, runs=args.runs, base_seed=args.seed
@@ -96,7 +96,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_ablation(args) -> int:
     harness.check_run_args(args.runs, args.seed)
-    _check_out_dirs(args.out)
+    _check_out_paths(args.out)
     models = harness.build_default_models(seed=args.model_seed, epochs=args.epochs)
     cells = harness.ablation_matrix(models, runs=args.runs, base_seed=args.seed)
     harness.write_ablation_csv(cells, args.out)
