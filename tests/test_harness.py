@@ -350,6 +350,23 @@ def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
         assert set(calls) == expected, mode
 
 
+@pytest.mark.parametrize("seed", [0, 29])
+def test_depth_baseline_flies_mirrored_worlds_mirrored(quick_models, seed):
+    # negating drone_y, gate_y0 and gate_speed mirrors the energy suite's
+    # world about the drone's lateral axis: y* changes sign, while energy and
+    # success stay the same
+    template = EpisodeConfig(perception_mode="depth-baseline")
+    for ci, cell in enumerate(energy_suite_cells()):
+        for run in range(10):
+            cfg = derive_run_config(cell, run, seed, ci, template)
+            mirror = replace(cfg, drone_y=-cfg.drone_y, gate_y0=-cfg.gate_y0,
+                             gate_speed=-cfg.gate_speed)
+            a, b = run_episode(cfg, quick_models), run_episode(mirror, quick_models)
+            assert abs(a.y_star + b.y_star) <= 1e-12
+            assert abs(a.energy_J - b.energy_J) <= 1e-9
+            assert a.success == b.success
+
+
 # Seeded episodes outside perfbench's reference: noisy depth readings in
 # both perception modes, and event episodes that lose tracking.
 PINNED_EPISODES = {

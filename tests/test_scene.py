@@ -274,6 +274,74 @@ def test_step_events_equal_dense_reference(oracle_world):
         assert events.tobytes() == expected.tobytes()  # values and order
 
 
+def _edge_worlds():
+    """Worlds whose band edges r - c and r + c fall on pixel centres.
+
+    c = thickness/2 + 0.5 - threshold is 0.5, 1, 1.5 or 2.  At depth 4 m the
+    ring radius is 125 px; a half-integer c gets the half-integer centre
+    column 320.5, so the pixels on the axes through the centre (and
+    Pythagorean ones such as (27, 120) from 123 px) lie exactly on an edge.
+    At depth 3.90625 m the radius is 128 px and, with frames 2**-7 s apart at
+    1 m/s, the centre moves exactly one column per frame, so the ties hold in
+    every frame.  Each world has copies shifted by about +-1e-7 px, which put
+    those pixels just inside and just outside the edges.
+    """
+    worlds = {}
+    for c in (0.5, 1.0, 1.5, 2.0):
+        ring = dict(ring_thickness_px=2.0 * c, event_threshold=0.5)
+        half_column = c % 1.0 == 0.5
+        bases = {
+            "still": dict(drone_x=2.0, gate_y0=0.004 if half_column else 0.0, gate_speed=0.5),
+            "moving": dict(drone_x=1.90625, gate_y0=2.0 ** -8 if half_column else 0.0,
+                           gate_speed=1.0, frame_dt=2.0 ** -7, sensing_dt=10 * 2.0 ** -7),
+        }
+        for name, base in bases.items():
+            for shift, label in ((0.0, ""), (8e-10, "+1e-7px"), (-8e-10, "-1e-7px")):
+                worlds[f"{name}-c{c}{label}"] = dict(
+                    base, **ring, gate_y0=base["gate_y0"] + shift)
+    worlds["still-threshold-1"] = dict(drone_x=2.0, gate_y0=0.004, ring_thickness_px=2.0,
+                                       event_threshold=1.0)
+    # radii a few ulps from putting one pixel on an edge, found by search:
+    # there, a squared-distance test with no margin and the hypot test round
+    # to opposite sides
+    for gate_y0, radius, thickness, threshold in (
+        (-0.3682336523241617, 2.8857574728172777, 4.0, 0.5),
+        (0.28630611316208576, 1.6928439214919442, 4.0, 0.5),
+        (-0.11286969666995006, 0.6035555365583197, 2.0, 0.5),
+        (0.43281091075700484, 2.0459257256499574, 4.0, 1.0),
+    ):
+        worlds[f"rounding-{radius}"] = dict(
+            gate_y0=gate_y0, gate_radius=radius, ring_thickness_px=thickness,
+            event_threshold=threshold)
+    return worlds
+
+
+EDGE_WORLDS = _edge_worlds()
+
+
+@pytest.mark.parametrize("world", list(EDGE_WORLDS.values()), ids=list(EDGE_WORLDS))
+def test_band_edge_ties_match_reference(world):
+    cfg = WorldConfig(**world)
+    cam, gate = cfg.camera(), cfg.gate()
+    # the world puts some pixel within 1e-6 px of a band edge
+    px, py = project_to_pixels(cam, (gate.plane_x, gate.y, 0.0))
+    r_px = cam.focal_px * gate.radius / gate_depth(cam, gate)
+    c = cfg.ring_thickness_px / 2.0 + 0.5 - cfg.event_threshold
+    ys, xs = np.mgrid[0:cam.height, 0:cam.width]
+    assert (np.abs(np.abs(np.hypot(xs - px, ys - py) - r_px) - c) < 1e-6).any()
+
+    expected = TestAnnulus._reference_mask(cam, gate, cfg.ring_thickness_px, cfg.event_threshold)
+    np.testing.assert_array_equal(
+        annulus_mask(cam, gate, cfg.ring_thickness_px, cfg.event_threshold),
+        np.flatnonzero(expected))
+    sim, dense = EventCameraSim(cfg), _DenseEventCamera(cfg)
+    for _ in range(2):
+        events = np.concatenate([sim.step()[2] for _ in range(5)])
+        expected = np.concatenate([dense.step()[2] for _ in range(5)])
+        assert (sim.time, sim.gate) == (dense.time, dense.gate)
+        assert events.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("overrides, name", [
     ({"gate_y0": 2.5}, "gate_y0"), ({"gate_y0": -2.0 - 1e-9}, "gate_y0"),
     ({"gate_bound": 0.0, "gate_y0": 0.0}, "gate_bound"), ({"gate_radius": 0.0}, "gate_radius"),
