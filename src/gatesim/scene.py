@@ -126,47 +126,46 @@ def _check_ring(threshold: float, thickness_px: float) -> None:
         raise ValueError(f"ring_thickness_px must be positive, got {thickness_px}")
 
 
-def annulus_mask(
-    camera: CameraModel,
-    gate: GateState,
-    thickness_px: float = 2.0,
-    threshold: float = 0.5,
-) -> np.ndarray:
-    """Covered pixels of the rasterized annulus as sorted flat indices (row * width + col).
+# Rounding moves the hypot test and the squared-distance test by a few ulps
+# of the band's outer radius: below 1e-12 px for rings under 1000 px.  So a
+# pixel whose squared distance clears the band's squared edges by a margin of
+# 1e-6 of that radius is decided alike by both, and only the rest needs hypot.
+_EDGE_MARGIN = 1e-6
 
-    A pixel is covered when its anti-aliased coverage, 1 inside the band
-    |rho - r| <= thickness/2 around the projected ring radius and falling off
-    linearly over one pixel outside it, reaches ``threshold`` in (0, 1]; 0.5
-    reproduces the crisp 2-pixel band.  The test runs only on each row's
-    candidate spans: the columns whose offset from the centre can put them
-    within c = thickness/2 + 0.5 - threshold of the radius, with a pixel to
-    spare on either side, so it decides every pixel that can be covered.
+
+def _ring_coverage(camera: CameraModel, gates, thickness_px: float, threshold: float):
+    """Candidate pixels of one ring at several lateral positions, and which each covers.
+
+    Returns sorted flat indices (row * width + col) and ``covered[k, j]``:
+    whether the anti-aliased coverage of candidate j by ``gates[k]`` (1 inside
+    the band |rho - r| <= thickness/2 around the ring radius, falling off
+    linearly over one pixel outside it) reaches ``threshold`` in (0, 1].  The
+    gates share a radius and a centre row, as a gate moves only laterally.
+    The candidates are each row's columns whose offset from some centre can
+    put them within c = thickness/2 + 0.5 - threshold of the radius, with a
+    pixel to spare on either side.
     """
     _check_ring(threshold, thickness_px)
-    px, py = project_to_pixels(camera, (gate.plane_x, gate.y, 0.0))
-    r_px = camera.focal_px * gate.radius / gate_depth(camera, gate)
+    centres = np.array([project_to_pixels(camera, (g.plane_x, g.y, 0.0)) for g in gates])
+    pxs, py = centres[:, 0], centres[0, 1]
+    r_px = camera.focal_px * gates[0].radius / gate_depth(camera, gates[0])
     half = thickness_px / 2.0
     c = half + 0.5 - threshold
     outer = r_px + c + 1.0
     inner = max(r_px - c - 1.0, 0.0)
-    y0 = max(math.floor(py - outer), 0)
-    y1 = min(math.ceil(py + outer) + 1, camera.height)
-    if y0 >= y1:
-        return np.empty(0, dtype=np.int64)
-
-    rows = np.arange(y0, y1)
+    rows = np.arange(max(math.floor(py - outer), 0), min(math.ceil(py + outer) + 1, camera.height))
     dy2 = (rows - py) ** 2
     reach = np.sqrt(np.maximum(outer * outer - dy2, 0.0))
     hole = np.sqrt(np.maximum(inner * inner - dy2, 0.0))
     # per row, a left span of columns [lo[:, 0], hi[:, 0]) with
-    # hole - 1 <= px - x <= reach + 1, and the mirrored right one; where the
-    # two touch, the left span takes both
+    # hole - 1 <= px - x <= reach + 1 for some centre px, and the mirrored
+    # right one; where the two touch, the left span takes both
     lo = np.empty((len(rows), 2))
     hi = np.empty_like(lo)
-    lo[:, 0] = np.ceil(px - reach) - 1.0
-    hi[:, 0] = np.floor(px - hole) + 2.0
-    lo[:, 1] = np.ceil(px + hole) - 1.0
-    hi[:, 1] = np.floor(px + reach) + 2.0
+    lo[:, 0] = np.ceil(pxs.min() - reach) - 1.0
+    hi[:, 0] = np.floor(pxs.max() - hole) + 2.0
+    lo[:, 1] = np.ceil(pxs.min() + hole) - 1.0
+    hi[:, 1] = np.floor(pxs.max() + reach) + 2.0
     merged = hi[:, 0] >= lo[:, 1]
     hi[merged, 0] = hi[merged, 1]
     hi[merged, 1] = lo[merged, 1]
@@ -175,12 +174,30 @@ def annulus_mask(
 
     # ragged arange: the columns of every span, row-major
     ends = np.cumsum(lengths)
-    xs = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
+    xs = np.arange(lengths.sum()) + np.repeat(lo - (ends - lengths), lengths)
     ys = np.repeat(np.repeat(rows, 2), lengths)
-    rho = np.hypot(xs - px, ys - py)
+    d2 = xs - pxs[:, None]  # in place from here: a fresh array per step costs page faults
+    d2 *= d2
+    d2 += (ys - py) ** 2
+    m = _EDGE_MARGIN * outer
+    covered = (d2 >= max(r_px - c + m, 0.0) ** 2) & (d2 <= (r_px + c - m) ** 2)
+    edge = (d2 >= max(r_px - c - m, 0.0) ** 2) & (d2 <= (r_px + c + m) ** 2) & ~covered
+    k, j = np.divmod(np.flatnonzero(edge), len(xs))
+    rho = np.hypot(xs[j] - pxs[k], ys[j] - py)
     # for a threshold in (0, 1], clipping the coverage to [0, 1] changes no pixel
-    covered = half + 0.5 - np.abs(rho - r_px) >= threshold
-    return ys[covered] * camera.width + xs[covered]
+    covered[k, j] = half + 0.5 - np.abs(rho - r_px) >= threshold
+    return ys * camera.width + xs, covered
+
+
+def annulus_mask(
+    camera: CameraModel,
+    gate: GateState,
+    thickness_px: float = 2.0,
+    threshold: float = 0.5,
+) -> np.ndarray:
+    """The ring's covered pixels as sorted flat indices (row * width + col); see _ring_coverage."""
+    pixels, covered = _ring_coverage(camera, [gate], thickness_px, threshold)
+    return pixels[covered[0]]
 
 
 def annulus_bbox(
@@ -198,23 +215,10 @@ def annulus_bbox(
             int(pixels[0] // camera.width), int(pixels[-1] // camera.width))
 
 
-def _coverage_events(before: np.ndarray, after: np.ndarray, t: float, width: int) -> np.ndarray:
-    """Events between two sorted pixel-index sets, row-major; +1 where ``after`` covers."""
-    changed = np.setxor1d(before, after, assume_unique=True)
-    pos = np.searchsorted(after, changed)
-    covers = pos < len(after)
-    covers[covers] = after[pos[covers]] == changed[covers]
-    events = np.empty(len(changed), dtype=EVENT_DTYPE)
-    events["t"] = t
-    events["y"], events["x"] = np.divmod(changed, width)
-    events["p"] = np.where(covers, 1, -1)
-    return events
-
-
 def events_to_frame(
     events: np.ndarray, shape: tuple[int, int], origin: tuple[int, int] = (0, 0)
 ) -> np.ndarray:
-    """Per-pixel event counts (both polarities) as an int32 frame.
+    """Per-pixel event counts (both polarities) as bincount's integer frame.
 
     The frame covers ``shape`` pixels of the sensor from ``origin`` (row,
     column); an event outside it raises ValueError.
@@ -224,7 +228,7 @@ def events_to_frame(
     xs = events["x"] - origin[1]
     if len(events) and (ys.min() < 0 or ys.max() >= h or xs.min() < 0 or xs.max() >= w):
         raise ValueError(f"events fall outside the {h}x{w} frame at {origin}")
-    return np.bincount(ys * w + xs, minlength=h * w).astype(np.int32).reshape(shape)
+    return np.bincount(ys * w + xs, minlength=h * w).reshape(shape)
 
 
 def write_events_csv(events: np.ndarray, path) -> None:
@@ -296,7 +300,7 @@ class WorldConfig:
 class EventCameraSim:
     """Frame-stepped event generator for one world.
 
-    Frames are spaced ``frame_dt`` apart; each step advances the gate and
+    Frames are spaced ``frame_dt`` apart; each frame advances the gate and
     emits the coverage-change events, timestamped at the new frame time.
     Optionally injects spurious events at uniformly random pixels.
     """
@@ -308,34 +312,38 @@ class EventCameraSim:
         self.time = start_time
         self.gate = gate if gate is not None else config.gate()
         self._rng = np.random.default_rng(config.seed)
-        self._mask: np.ndarray | None = None  # the last frame's covered pixels
 
-    def step(self) -> tuple[float, GateState, np.ndarray]:
-        """Advance one frame; returns (frame time, new gate state, events)."""
+    def step(self, frames: int = 1) -> tuple[float, GateState, np.ndarray]:
+        """Advance ``frames`` frames; returns (last frame time, its gate state, events):
+        frame by frame, the coverage changes in row-major order, +1 where the
+        new frame covers, then that frame's spurious events."""
+        check_integer("frames", frames, 1)
         cfg = self.config
-        if self._mask is None:
-            self._mask = annulus_mask(
-                self.camera, self.gate, cfg.ring_thickness_px, cfg.event_threshold
-            )
-        after = step_gate(self.gate, cfg.frame_dt)
-        self.time += cfg.frame_dt
-        self.gate = after
-        after_mask = annulus_mask(
-            self.camera, after, cfg.ring_thickness_px, cfg.event_threshold
-        )
-        events = _coverage_events(self._mask, after_mask, self.time, self.camera.width)
-        self._mask = after_mask
+        gates, times = [self.gate], []
+        for _ in range(frames):
+            gates.append(step_gate(gates[-1], cfg.frame_dt))
+            self.time += cfg.frame_dt
+            times.append(self.time)
+        self.gate = gates[-1]
+        pixels, covered = _ring_coverage(
+            self.camera, gates, cfg.ring_thickness_px, cfg.event_threshold)
+        frame, j = np.divmod(np.flatnonzero(covered[1:] != covered[:-1]), len(pixels))
+        events = np.empty(len(j), dtype=EVENT_DTYPE)
+        events["t"] = np.array(times)[frame]
+        events["y"], events["x"] = np.divmod(pixels[j], self.camera.width)
+        events["p"] = np.where(covered[frame + 1, j], 1, -1)
         if cfg.spurious_rate > 0:
-            events = self._add_spurious(events)
-        return self.time, after, events
+            parts = np.split(events, np.searchsorted(frame, np.arange(1, frames)))
+            events = np.concatenate([self._add_spurious(e, t) for e, t in zip(parts, times)])
+        return self.time, self.gate, events
 
-    def _add_spurious(self, events: np.ndarray) -> np.ndarray:
+    def _add_spurious(self, events: np.ndarray, t: float) -> np.ndarray:
         cfg = self.config
         n = self._rng.poisson(cfg.spurious_rate * cfg.frame_dt)
         if n == 0:
             return events
         noise = np.empty(n, dtype=EVENT_DTYPE)
-        noise["t"] = self.time
+        noise["t"] = t
         noise["x"] = self._rng.integers(0, self.camera.width, n)
         noise["y"] = self._rng.integers(0, self.camera.height, n)
         noise["p"] = self._rng.choice(np.array([-1, 1], dtype=np.int8), n)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatesim import harness, pgnn, tracker
+from gatesim import harness, pgnn, scene, tracker
 from gatesim.harness import (
     DEPTH_LATENCY,
     EVENT_LATENCY,
@@ -348,6 +348,34 @@ def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
         result = run_episode(EpisodeConfig(perception_mode=mode, seed=3), quick_models)
         assert not result.tracking_lost
         assert set(calls) == expected, mode
+
+
+def test_event_perception_renders_each_bin_in_one_step(quick_models, monkeypatch):
+    # perfbench's tracer wraps these where they are defined; a missing one
+    # would fail its lookup
+    assert "step" in scene.EventCameraSim.__dict__ and "annulus_mask" in scene.__dict__
+    calls = []
+    step, process_bin = scene.EventCameraSim.step, tracker.SnnGateTracker.process_bin
+
+    def counted_step(sim, *args):
+        calls.append(("step", args))
+        return step(sim, *args)
+
+    def counted_bin(trk, events):
+        calls.append(("process_bin", ()))
+        return process_bin(trk, events)
+
+    monkeypatch.setattr(scene.EventCameraSim, "step", counted_step)
+    monkeypatch.setattr(tracker.SnnGateTracker, "process_bin", counted_bin)
+    for mode in PERCEPTION_MODES:
+        calls.clear()
+        run_episode(EpisodeConfig(perception_mode=mode, seed=3), quick_models)
+        if mode == "depth-baseline":
+            assert calls == []
+        else:
+            # the warm-up bin and at least two sensing bins, ten frames each
+            one_bin = [("step", (10,)), ("process_bin", ())]
+            assert len(calls) >= 6 and calls == one_bin * (len(calls) // 2)
 
 
 @pytest.mark.parametrize("seed", [0, 29])

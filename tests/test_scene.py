@@ -260,7 +260,7 @@ class _DenseEventCamera(EventCameraSim):
         events["y"] = ys
         events["p"] = np.where(after[ys, xs], 1, -1)
         if self.config.spurious_rate > 0:
-            events = self._add_spurious(events)
+            events = self._add_spurious(events, self.time)
         return self.time, self.gate, events
 
 
@@ -272,6 +272,28 @@ def test_step_events_equal_dense_reference(oracle_world):
         assert (t, gate) == (t_ref, gate_ref)
         assert events.dtype == expected.dtype
         assert events.tobytes() == expected.tobytes()  # values and order
+
+
+def test_step_frames_equal_single_steps(oracle_world):
+    batched, single = EventCameraSim(oracle_world), EventCameraSim(oracle_world)
+    for _ in range(2):
+        t, gate, events = batched.step(10)
+        expected = np.concatenate([single.step()[2] for _ in range(10)])
+        assert (t, gate) == (single.time, single.gate)
+        assert events.tobytes() == expected.tobytes()
+    # the time, the gate and the spurious-event stream carry on alike
+    t, gate, events = batched.step()
+    t_ref, gate_ref, expected = single.step()
+    assert (t, gate) == (t_ref, gate_ref)
+    assert events.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("frames", [0, -2, 1.5, True])
+def test_step_frames_must_be_a_positive_integer(frames):
+    sim = EventCameraSim(WorldConfig())
+    with pytest.raises(ValueError, match="frames"):
+        sim.step(frames)
+    assert sim.time == 0.0 and sim.gate == WorldConfig().gate()
 
 
 def _edge_worlds():
@@ -334,12 +356,13 @@ def test_band_edge_ties_match_reference(world):
     np.testing.assert_array_equal(
         annulus_mask(cam, gate, cfg.ring_thickness_px, cfg.event_threshold),
         np.flatnonzero(expected))
-    sim, dense = EventCameraSim(cfg), _DenseEventCamera(cfg)
+    batched, single, dense = EventCameraSim(cfg), EventCameraSim(cfg), _DenseEventCamera(cfg)
     for _ in range(2):
-        events = np.concatenate([sim.step()[2] for _ in range(5)])
+        t, gate, events = batched.step(5)
+        per_frame = np.concatenate([single.step()[2] for _ in range(5)])
         expected = np.concatenate([dense.step()[2] for _ in range(5)])
-        assert (sim.time, sim.gate) == (dense.time, dense.gate)
-        assert events.tobytes() == expected.tobytes()
+        assert (t, gate) == (single.time, single.gate) == (dense.time, dense.gate)
+        assert events.tobytes() == per_frame.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("overrides, name", [
