@@ -218,7 +218,7 @@ def annulus_bbox(
 def events_to_frame(
     events: np.ndarray, shape: tuple[int, int], origin: tuple[int, int] = (0, 0)
 ) -> np.ndarray:
-    """Per-pixel event counts (both polarities) as bincount's integer frame.
+    """Per-pixel event counts (both polarities) as an int32 frame.
 
     The frame covers ``shape`` pixels of the sensor from ``origin`` (row,
     column); an event outside it raises ValueError.
@@ -228,7 +228,7 @@ def events_to_frame(
     xs = events["x"] - origin[1]
     if len(events) and (ys.min() < 0 or ys.max() >= h or xs.min() < 0 or xs.max() >= w):
         raise ValueError(f"events fall outside the {h}x{w} frame at {origin}")
-    return np.bincount(ys * w + xs, minlength=h * w).reshape(shape)
+    return np.bincount(ys * w + xs, minlength=h * w).astype(np.int32).reshape(shape)
 
 
 def write_events_csv(events: np.ndarray, path) -> None:

@@ -180,6 +180,14 @@ class TestEventGeneration:
         assert frame.max() == 1  # one coverage flip per pixel per frame pair
 
 
+def test_event_frame_is_int32():
+    # half the bytes of bincount's int64 frame: the tracker keeps and
+    # re-embeds the previous bin's frame, and int64 frames made event
+    # episodes slower and larger (BENCH_21.json)
+    events = EventCameraSim(WorldConfig(gate_y0=0.0, gate_speed=1.0)).step(10)[2]
+    assert events_to_frame(events, (480, 640)).dtype == np.int32
+
+
 class TestAnnulus:
     def test_ring_radius_in_pixels(self):
         cfg = WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0)
