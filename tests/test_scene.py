@@ -321,15 +321,15 @@ def _edge_worlds():
         ring = dict(ring_thickness_px=2.0 * c, event_threshold=0.5)
         half_column = c % 1.0 == 0.5
         bases = {
-            "still": dict(drone_x=2.0, gate_y0=0.004 if half_column else 0.0, gate_speed=0.5),
-            "moving": dict(drone_x=1.90625, gate_y0=2.0 ** -8 if half_column else 0.0,
+            "r125": dict(drone_x=2.0, gate_y0=0.004 if half_column else 0.0, gate_speed=0.5),
+            "r128": dict(drone_x=1.90625, gate_y0=2.0 ** -8 if half_column else 0.0,
                            gate_speed=1.0, frame_dt=2.0 ** -7, sensing_dt=10 * 2.0 ** -7),
         }
         for name, base in bases.items():
             for shift, label in ((0.0, ""), (8e-10, "+1e-7px"), (-8e-10, "-1e-7px")):
                 worlds[f"{name}-c{c}{label}"] = dict(
                     base, **ring, gate_y0=base["gate_y0"] + shift)
-    worlds["still-threshold-1"] = dict(drone_x=2.0, gate_y0=0.004, ring_thickness_px=2.0,
+    worlds["r125-threshold-1"] = dict(drone_x=2.0, gate_y0=0.004, ring_thickness_px=2.0,
                                        event_threshold=1.0)
     # radii a few ulps from putting one pixel on an edge, found by search:
     # there, a squared-distance test with no margin and the hypot test round
