@@ -303,7 +303,7 @@ class _DenseTracker(SnnGateTracker):
         return box
 
 
-def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
+def _assert_process_bin_equals_dense(world, config, monkeypatch):
     spike_counts = []
 
     def counting_lif_step(grid, config, frame):
@@ -312,15 +312,34 @@ def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
         return membrane, spikes
 
     monkeypatch.setattr(tracker_mod, "lif_step", counting_lif_step)
-    cam = oracle_world.camera()
-    sparse = SnnGateTracker(cam)
-    dense = _DenseTracker(cam)
-    sim = EventCameraSim(oracle_world)
+    cam = world.camera()
+    sparse = SnnGateTracker(cam, config)
+    dense = _DenseTracker(cam, config)
+    sim = EventCameraSim(world)
     for _ in range(8):
         events = np.concatenate([sim.step()[2] for _ in range(10)])
         assert sparse.process_bin(events) == dense.process_bin(events)
         assert sparse.membrane.tobytes() == dense.membrane.tobytes()
         assert spike_counts == dense.spike_counts
+
+
+def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
+    _assert_process_bin_equals_dense(oracle_world, None, monkeypatch)
+
+
+# An even kernel reaches one pixel further on one side than on the other,
+# and a 1x1 kernel does not widen the region at all.  Unequal weights keep
+# any flip visible.
+OTHER_KERNELS = {
+    "2x2": np.array([[0.30, 0.45], [0.20, 0.40]]),
+    "3x5": np.linspace(0.04, 0.16, 15).reshape(3, 5),
+    "1x1": np.array([[1.35]]),
+}
+
+
+@pytest.mark.parametrize("kernel", list(OTHER_KERNELS.values()), ids=list(OTHER_KERNELS))
+def test_process_bin_equals_dense_reference_with_kernel(oracle_world, kernel, monkeypatch):
+    _assert_process_bin_equals_dense(oracle_world, LifConfig(kernel=kernel), monkeypatch)
 
 
 def _lif_step_reference(grid, config, frame):
