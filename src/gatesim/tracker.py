@@ -6,6 +6,9 @@ threshold; sparse activity leaks away.  The bounding box of the events
 recovered around spiking neurons localizes the moving gate in pixels; the
 harness places that box in the world with a depth reading
 (``pixel_center_to_world``) and records it as a ``GateTrack``.
+
+``lif_step`` updates the membrane it is given in place, so the tracker steps
+a crop of its full-sensor membrane without building a new one each bin.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ class LifConfig:
             raise ValueError("leak factor must be in (0, 1)")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if not np.all(np.asarray(self.kernel) >= 0):
-            raise ValueError("kernel weights must be nonnegative")
+        kernel = np.asarray(self.kernel)
+        if kernel.ndim != 2 or not kernel.size:
+            raise ValueError(f"kernel must be a nonempty 2-D array, got shape {kernel.shape}")
+        if not np.all(np.isfinite(kernel) & (kernel >= 0)):
+            raise ValueError("kernel weights must be finite and nonnegative")
 
 
 def new_membrane_grid(shape: tuple[int, int]) -> np.ndarray:
@@ -49,27 +55,31 @@ def new_membrane_grid(shape: tuple[int, int]) -> np.ndarray:
 def lif_step(
     grid: np.ndarray, config: LifConfig, frame: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One LIF update: U <- leak * U + kernel (x) frame; spike and reset at threshold.
+    """One LIF update in place: U <- leak * U + kernel (x) frame; spike and reset at threshold.
 
-    ``frame`` holds per-pixel event counts for the time bin (zero-padded
-    borders for the neighborhood sum); a negative or NaN count raises
-    ValueError.  Returns a new membrane grid and a boolean spike frame;
-    neither input is written.  The kernel sum is taken straight from the
-    counts, and the leak and the reset are applied to it in place: drive +
-    leak * U has the bits of leak * U + drive, as IEEE addition commutes.
+    ``grid`` must be a writable float64 array; ``frame`` holds per-pixel event
+    counts for the time bin (zero-padded borders for the neighborhood sum).
+    Returns ``(grid, spikes)``: ``grid`` itself, updated, and a boolean spike
+    frame.  ``frame`` is not written.  Every check runs before the first
+    write, so a call that raises leaves ``grid`` as it was: a shape mismatch
+    raises DimensionMismatch, a negative or NaN count ValueError, and a grid
+    of another type or dtype, or a read-only one, TypeError.
     """
+    if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.flags.writeable):
+        raise TypeError("grid must be a writable float64 array")
     frame = np.asarray(frame)
     if frame.shape != grid.shape:
         raise DimensionMismatch(f"frame {frame.shape} vs grid {grid.shape}")
     if not (frame >= 0).all():
         raise ValueError("event counts must be nonnegative")
-    membrane = ndimage.correlate(
+    drive = ndimage.correlate(
         frame, np.asarray(config.kernel), output=np.float64, mode="constant", cval=0.0
     )
-    membrane += config.leak * grid
-    spikes = membrane >= config.threshold
-    membrane[spikes] = 0.0
-    return membrane, spikes
+    grid *= config.leak
+    grid += drive
+    spikes = grid >= config.threshold
+    grid[spikes] = 0.0
+    return grid, spikes
 
 
 @dataclass(frozen=True)
@@ -175,9 +185,9 @@ class SnnGateTracker:
         self.config = config if config is not None else LifConfig()
         self.membrane = new_membrane_grid(camera.shape)
         # (y0, y1, x0, x1), half-open: the previous bin's region, which holds
-        # every nonzero potential, and its event frame; None before any
+        # every nonzero potential, and its event pixels; None before any
         self._live: tuple[int, int, int, int] | None = None
-        self._live_frame: np.ndarray | None = None
+        self._live_events: np.ndarray | None = None
 
     def _region(self, events: np.ndarray):
         """This bin's update box: the live box and the events, widened by the kernel radius."""
@@ -197,23 +207,22 @@ class SnnGateTracker:
         """Consume one sensing bin of events; returns the gate's pixel box, if found."""
         region = y0, y1, x0, x1 = self._region(events)
         frame = events_to_frame(events, (y1 - y0, x1 - x0), (y0, x0))
-        membrane, spikes = lif_step(self.membrane[y0:y1, x0:x1], self.config, frame)
-        self.membrane[y0:y1, x0:x1] = membrane
+        _, spikes = lif_step(self.membrane[y0:y1, x0:x1], self.config, frame)
         box = None
         if self._live is not None:
             # the region holds the previous one, so every event a spike's
             # neighbourhood can recover lies on this crop
-            prev = self._live_frame
+            prev = self._live_events
             if self._live != region:
-                prev = np.zeros_like(frame)
+                prev = np.zeros(frame.shape, dtype=bool)
                 py0, py1, px0, px1 = self._live
-                prev[py0 - y0:py1 - y0, px0 - x0:px1 - x0] = self._live_frame
+                prev[py0 - y0:py1 - y0, px0 - x0:px1 - x0] = self._live_events
             found = track_bbox(spikes, prev)
             if found is not None:
                 box = make_bbox(found.x_min + x0, found.x_max + x0,
                                 found.y_min + y0, found.y_max + y0)
         if y0 < y1:  # else no events and nothing live: no state to keep
-            self._live, self._live_frame = region, frame
+            self._live, self._live_events = region, frame > 0
         return box
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -78,8 +79,8 @@ class TestLifStep:
         small = rng.integers(0, 3, (20, 20)).astype(np.int32)
         big = small + rng.integers(0, 3, (20, 20)).astype(np.int32)
         grid = rng.uniform(0, 1, (20, 20))
-        m_small, s_small = lif_step(grid, LifConfig(), small)
-        m_big, s_big = lif_step(grid, LifConfig(), big)
+        m_small, s_small = lif_step(grid.copy(), LifConfig(), small)
+        m_big, s_big = lif_step(grid.copy(), LifConfig(), big)
         # spiking resets to zero, so compare pre-reset drive via spike sets
         assert np.all(s_big | ~s_small)  # spike set is a superset
         assert np.all(m_big[~s_big] >= m_small[~s_big] - 1e-12)
@@ -109,10 +110,68 @@ class TestLifStep:
             LifConfig(threshold=0.0)
         with pytest.raises(ValueError):
             LifConfig(threshold=float("nan"))
+
+    @pytest.mark.parametrize("kernel", [
+        np.full((3, 3), -0.1),
+        np.full((3, 3), np.nan),
+        np.full(3, 0.15),                  # 1-D
+        np.full((3, 3, 3), 0.05),          # 3-D
+        np.float64(0.15),                  # 0-D
+        np.zeros((0, 0)),                  # empty
+        np.zeros((3, 0)),
+        np.array([[0.15, np.inf], [0.15, 0.15]]),
+    ], ids=["negative", "nan", "1d", "3d", "0d", "0x0", "3x0", "inf"])
+    def test_kernel_must_be_finite_nonempty_2d(self, kernel):
         with pytest.raises(ValueError):
-            LifConfig(kernel=np.full((3, 3), -0.1))
-        with pytest.raises(ValueError):
-            LifConfig(kernel=np.full((3, 3), np.nan))
+            LifConfig(kernel=kernel)
+
+    def test_strided_crop_is_updated_in_place(self):
+        # a strided crop of a larger grid: only the crop's own elements of
+        # the parent change, and they take the reference's bits
+        rng = np.random.default_rng(8)
+        cfg = LifConfig()
+        backing = rng.uniform(0.0, 2.5, (16, 21))
+        inside = np.zeros(backing.shape, dtype=bool)
+        inside[1:15:2, 2:20:3] = True
+        grid = backing[1:15:2, 2:20:3]
+        frame = rng.integers(0, 4, grid.shape).astype(np.int32)
+        frame[3, 2] = 20
+        before = backing.copy()
+        want_membrane, want_spikes = _lif_step_reference(grid, cfg, frame)
+        membrane, spikes = lif_step(grid, cfg, frame)
+        assert membrane is grid
+        assert backing[inside].tobytes() == want_membrane.tobytes()
+        assert backing[~inside].tobytes() == before[~inside].tobytes()
+        assert spikes.tobytes() == want_spikes.tobytes() and spikes.any()
+
+    @pytest.mark.parametrize("bad", ["shape", "negative", "nan"])
+    def test_rejected_call_leaves_grid_untouched(self, bad):
+        # every check runs before the first write; the valid call after it
+        # shows that the same grid is otherwise updated in place
+        rng = np.random.default_rng(9)
+        cfg = LifConfig()
+        grid = rng.uniform(0.0, 2.5, (6, 7))
+        frame = np.full(grid.shape, 20.0)
+        if bad == "shape":
+            frame = frame[:, :-1]
+        else:
+            frame[4, 5] = -1.0 if bad == "negative" else np.nan
+        before = grid.copy()
+        with pytest.raises(DimensionMismatch if bad == "shape" else ValueError):
+            lif_step(grid, cfg, frame)
+        assert grid.tobytes() == before.tobytes()
+        _lif_step_checked(grid, cfg, np.full(grid.shape, 20.0))
+
+    @pytest.mark.parametrize("grid", [
+        np.zeros((4, 4), dtype=np.int64),
+        np.zeros((4, 4), dtype=np.float32),
+        np.zeros((4, 4), dtype=">f8"),
+        np.zeros((4, 4)).tolist(),
+        np.broadcast_to(0.0, (4, 4)),
+    ], ids=["int64", "float32", "big-endian", "list", "read-only"])
+    def test_grid_must_be_a_writable_float64_array(self, grid):
+        with pytest.raises(TypeError):
+            lif_step(grid, LifConfig(), np.ones((4, 4), dtype=np.int32))
 
 
 class TestBoundingBox:
@@ -342,6 +401,29 @@ def test_process_bin_equals_dense_reference_with_kernel(oracle_world, kernel, mo
     _assert_process_bin_equals_dense(oracle_world, LifConfig(kernel=kernel), monkeypatch)
 
 
+def test_full_sensor_bin_peaks_below_two_float64_frames():
+    # a noisy bin's events cover the sensor, so the whole membrane is
+    # updated; the bin's own allocations (count frame, drive, masks) must stay
+    # under two float64 sensor frames, which a new membrane beside the drive
+    # would exceed
+    cfg = WorldConfig(drone_x=2.0, spurious_rate=1e5, seed=11)
+    cam = cfg.camera()
+    sim = EventCameraSim(cfg)
+    tracker = SnnGateTracker(cam)
+    frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
+    tracker.process_bin(sim.step(frames_per_bin)[2])
+    events = sim.step(frames_per_bin)[2]
+    tracemalloc.start()
+    try:
+        tracker.process_bin(events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    h, w = cam.shape
+    assert tracker._live == (0, h, 0, w)
+    assert peak < 2 * h * w * np.dtype(np.float64).itemsize
+
+
 def _lif_step_reference(grid, config, frame):
     """lif_step as first written: a float copy of the counts, the kernel sum,
     leak * grid + drive, then the reset through np.where."""
@@ -364,16 +446,16 @@ def _track_bbox_reference(spikes, prev_frame):
 
 
 def _lif_step_checked(grid, config, frame):
-    """lif_step, asserting its bytes against the reference and that it writes
-    neither of its inputs."""
-    grid_before, frame_before = grid.copy(), frame.copy()
+    """lif_step, asserting its bytes against the reference, that it updates
+    ``grid`` in place and that it does not write ``frame``."""
+    frame_before = frame.copy()
     want_membrane, want_spikes = _lif_step_reference(grid, config, frame)
     membrane, spikes = lif_step(grid, config, frame)
     assert membrane.dtype == np.float64 and spikes.dtype == bool
     assert membrane.shape == spikes.shape == grid.shape
     assert membrane.tobytes() == want_membrane.tobytes()
     assert spikes.tobytes() == want_spikes.tobytes()
-    assert grid.tobytes() == grid_before.tobytes()
+    assert membrane is grid
     assert frame.dtype == frame_before.dtype and frame.tobytes() == frame_before.tobytes()
     return membrane, spikes
 
