@@ -7,8 +7,8 @@ recovered around spiking neurons localizes the moving gate in pixels; the
 harness places that box in the world with a depth reading
 (``pixel_center_to_world``) and records it as a ``GateTrack``.
 
-``lif_step`` updates the membrane it is given in place, so the tracker steps
-a crop of its full-sensor membrane without building a new one each bin.
+``lif_step`` updates the membrane it is given in place; the tracker hands it
+a crop of its full-sensor membrane.
 """
 
 from __future__ import annotations
