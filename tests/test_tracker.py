@@ -507,6 +507,34 @@ class TestLifStepOracle:
             _lif_step_checked(new_membrane_grid(shape), cfg, np.zeros(shape, dtype=np.int32))
             _lif_step_checked(np.full(shape, 1.9), cfg, np.full(shape, 20, dtype=np.int32))
 
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        kernel_shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        # ndimage leaves out weights no larger than float64 eps; keep some
+        # at and around that edge, and some zero
+        weights=st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-17, float(np.finfo(np.float64).eps), 3e-16]),
+                      st.floats(0.0, 0.8)),
+            min_size=25, max_size=25),
+        density=st.floats(0.0, 1.0),
+        dtype=st.sampled_from([np.int32, np.int64, np.float64]),
+        leak=st.floats(0.05, 0.95),
+        threshold=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_shapes_kernels_and_densities(
+        self, shape, kernel_shape, weights, density, dtype, leak, threshold, seed
+    ):
+        kh, kw = kernel_shape
+        cfg = LifConfig(leak=leak, threshold=threshold,
+                        kernel=np.array(weights[:kh * kw]).reshape(kh, kw))
+        rng = np.random.default_rng(seed)
+        grid = rng.uniform(0.0, 1.2 * threshold, shape)
+        for _ in range(2):
+            counts = rng.integers(1, 4, shape) * (rng.uniform(size=shape) < density)
+            grid, _ = _lif_step_checked(grid, cfg, counts.astype(dtype))
+
 
 class TestTrackBboxOracle:
     SHAPE = (7, 9)
