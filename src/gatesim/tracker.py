@@ -190,7 +190,11 @@ class SnnGateTracker:
         self._live_events: np.ndarray | None = None
 
     def _region(self, events: np.ndarray):
-        """This bin's update box: the live box and the events, widened by the kernel radius."""
+        """This bin's update box: the live box and the events, widened by the kernel's reach.
+
+        An event pixel drives the ``(k - 1) // 2`` pixels before it and the
+        ``k // 2`` after it on an axis of kernel size ``k``.
+        """
         boxes = [self._live] if self._live is not None else []
         if len(events):
             ys, xs = events["y"], events["x"]
@@ -200,8 +204,8 @@ class SnnGateTracker:
         y0, y1, x0, x1 = zip(*boxes)
         kh, kw = np.shape(self.config.kernel)
         h, w = self.camera.shape
-        return (max(min(y0) - kh // 2, 0), min(max(y1) + kh // 2, h),
-                max(min(x0) - kw // 2, 0), min(max(x1) + kw // 2, w))
+        return (max(min(y0) - (kh - 1) // 2, 0), min(max(y1) + kh // 2, h),
+                max(min(x0) - (kw - 1) // 2, 0), min(max(x1) + kw // 2, w))
 
     def process_bin(self, events: np.ndarray) -> BoundingBox | None:
         """Consume one sensing bin of events; returns the gate's pixel box, if found."""

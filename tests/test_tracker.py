@@ -14,6 +14,7 @@ from gatesim.errors import (
     NonPositiveDepth,
 )
 from gatesim.scene import (
+    EVENT_DTYPE,
     CameraModel,
     EventCameraSim,
     WorldConfig,
@@ -399,6 +400,23 @@ OTHER_KERNELS = {
 @pytest.mark.parametrize("kernel", list(OTHER_KERNELS.values()), ids=list(OTHER_KERNELS))
 def test_process_bin_equals_dense_reference_with_kernel(oracle_world, kernel, monkeypatch):
     _assert_process_bin_equals_dense(oracle_world, LifConfig(kernel=kernel), monkeypatch)
+
+
+@pytest.mark.parametrize("kernel, reach", [
+    ("2x2", (0, 2, 0, 2)),
+    ("3x5", (-1, 2, -2, 3)),
+    ("1x1", (0, 1, 0, 1)),
+])
+def test_region_is_one_event_widened_by_the_kernel_reach(kernel, reach):
+    # an event at (y, x) drives rows y - (kh - 1) // 2 .. y + kh // 2, and
+    # likewise columns; the region is that box, half-open
+    cam = WorldConfig().camera()
+    tracker = SnnGateTracker(cam, LifConfig(kernel=OTHER_KERNELS[kernel]))
+    y, x = 100, 200
+    events = np.zeros(1, dtype=EVENT_DTYPE)
+    events["y"], events["x"] = y, x
+    dy0, dy1, dx0, dx1 = reach
+    assert tracker._region(events) == (y + dy0, y + dy1, x + dx0, x + dx1)
 
 
 def test_full_sensor_bin_peaks_below_two_float64_frames():
