@@ -8,7 +8,9 @@ harness places that box in the world with a depth reading
 (``pixel_center_to_world``) and records it as a ``GateTrack``.
 
 ``lif_step`` updates the membrane it is given in place; the tracker hands it
-a crop of its full-sensor membrane.
+a crop of its full-sensor membrane.  Its work follows the events: the kernel
+drive is scattered from the bin's event pixels, so its cost grows with the
+pixels that saw an event, not with the area of the crop.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .csvio import write_csv
 from .errors import DimensionMismatch, InvalidExtents, NonPositiveDepth
@@ -52,6 +53,39 @@ def new_membrane_grid(shape: tuple[int, int]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
+# scipy.ndimage.correlate leaves out every weight no larger than this
+_NEGLIGIBLE_WEIGHT = np.finfo(np.float64).eps
+
+
+def _drive(frame: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The kernel's correlation with ``frame``, zero outside it, scattered from the event pixels.
+
+    A source at least the kernel's reach inside the frame drives only pixels
+    of the frame, so each tap shifts it by one flat offset; the few sources
+    nearer the border drop the targets that fall outside.
+    """
+    h, w = frame.shape
+    kh, kw = kernel.shape
+    cy, cx = kh // 2, kw // 2
+    src = np.flatnonzero(frame > 0)
+    counts = frame.take(src).astype(np.float64)
+    ys, xs = np.divmod(src, w)
+    inner = (ys >= kh - 1 - cy) & (ys < h - cy) & (xs >= kw - 1 - cx) & (xs < w - cx)
+    edge_ys, edge_xs, edge_counts = ys[~inner], xs[~inner], counts[~inner]
+    src, counts = src[inner], counts[inner]
+    drive = np.zeros(frame.shape)
+    flat = drive.ravel()
+    for (dy, dx), weight in np.ndenumerate(kernel):
+        if weight <= _NEGLIGIBLE_WEIGHT:
+            continue
+        np.add.at(flat, src - ((dy - cy) * w + (dx - cx)), counts * weight)
+        if len(edge_counts):
+            ty, tx = edge_ys - (dy - cy), edge_xs - (dx - cx)
+            keep = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+            np.add.at(flat, (ty * w + tx)[keep], edge_counts[keep] * weight)
+    return drive
+
+
 def lif_step(
     grid: np.ndarray, config: LifConfig, frame: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +93,17 @@ def lif_step(
 
     ``grid`` must be a writable float64 array; ``frame`` holds per-pixel event
     counts for the time bin (zero-padded borders for the neighborhood sum).
+
+    The drive ``kernel (x) frame`` is scattered from the frame's nonzero
+    pixels, one kernel tap at a time in row-major order, into a zeroed
+    accumulator: each tap adds ``float(count) * weight`` to the pixel its
+    source drives.  This has the bits of ``scipy.ndimage.correlate``
+    (``mode="constant"``), which sums the same products over the taps in the
+    same order from 0.0, and leaves out weights no larger than float64 eps,
+    as the scatter does.  A zero count adds +0.0, which changes no
+    nonnegative sum; and within one tap every target is distinct, so each
+    target sees the same additions in the same order.
+
     Returns ``(grid, spikes)``: ``grid`` itself, updated, and a boolean spike
     frame.  ``frame`` is not written.  Every check runs before the first
     write, so a call that raises leaves ``grid`` as it was: a shape mismatch
@@ -72,9 +117,7 @@ def lif_step(
         raise DimensionMismatch(f"frame {frame.shape} vs grid {grid.shape}")
     if not (frame >= 0).all():
         raise ValueError("event counts must be nonnegative")
-    drive = ndimage.correlate(
-        frame, np.asarray(config.kernel), output=np.float64, mode="constant", cval=0.0
-    )
+    drive = _drive(frame, np.asarray(config.kernel, dtype=np.float64))
     grid *= config.leak
     grid += drive
     spikes = grid >= config.threshold
