@@ -67,13 +67,16 @@ def _drive(frame: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     h, w = frame.shape
     kh, kw = kernel.shape
     cy, cx = kh // 2, kw // 2
+    # allocated before the small temporaries below, so that a free block of
+    # exactly its size (the int64 counts events_to_frame has just freed) can
+    # hold it whole, rather than the heap growing by a frame in many bins
+    drive = np.zeros(frame.shape)
     src = np.flatnonzero(frame > 0)
     counts = frame.take(src).astype(np.float64)
     ys, xs = np.divmod(src, w)
     inner = (ys >= kh - 1 - cy) & (ys < h - cy) & (xs >= kw - 1 - cx) & (xs < w - cx)
     edge_ys, edge_xs, edge_counts = ys[~inner], xs[~inner], counts[~inner]
     src, counts = src[inner], counts[inner]
-    drive = np.zeros(frame.shape)
     flat = drive.ravel()
     for (dy, dx), weight in np.ndenumerate(kernel):
         if weight <= _NEGLIGIBLE_WEIGHT:
