@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 from . import harness, pgnn
-from .errors import GateSimError
 from .fitting import build_dataset, default_training_depths, read_dataset_csv
 from .motor import (
     calibration_report,
@@ -115,6 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event-driven gate-crossing simulator and benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--epochs", type=int, default=2000,
+                        help="training epochs for the planner models")
+    models.add_argument("--model-seed", type=int, default=0)
+    suite = argparse.ArgumentParser(add_help=False)
+    suite.add_argument("--runs", type=int, default=10)
+    suite.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("profile-energy", help="export energy-velocity profiles")
     p.add_argument("--depth", action="append", required=True,
@@ -133,32 +139,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-curve", default=None, help="optional loss-curve CSV")
     p.set_defaults(func=_cmd_train_pgnn)
 
-    p = sub.add_parser("run", help="run a single episode from a config file")
+    p = sub.add_parser("run", parents=[models], help="run a single episode from a config file")
     p.add_argument("--config", required=True, help="INI episode config")
     p.add_argument("--trajectory-out", default=None,
                    help="optional planned-trajectory CSV")
-    p.add_argument("--epochs", type=int, default=2000,
-                   help="training epochs for the planner models")
-    p.add_argument("--model-seed", type=int, default=0)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("benchmark", help="success-rate grid for both perception modes")
+    p = sub.add_parser("benchmark", parents=[suite, models],
+                       help="success-rate grid for both perception modes")
     p.add_argument("--grid", default=None,
                    help="grid CSV (drone_x,drone_y,gate_y0,gate_speed,alternate); "
                         "default: built-in 15-cell grid")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--model-seed", type=int, default=0)
     p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("ablation", help="2x2 perception/planner ablation matrix")
+    p = sub.add_parser("ablation", parents=[suite, models],
+                       help="2x2 perception/planner ablation matrix")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--model-seed", type=int, default=0)
     p.set_defaults(func=_cmd_ablation)
 
     return parser
@@ -169,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GateSimError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

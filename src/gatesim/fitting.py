@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_csv, write_csv
-from .errors import DegenerateDesignMatrix, InsufficientSamples
 from .motor import EnergyCoefficients, FlightModel, energy_velocity_profile
 
 _SCAN_INTERVALS = 200
@@ -47,9 +46,9 @@ def fit_quintic(profile: np.ndarray) -> QuinticFit:
     profile = np.asarray(profile, dtype=float)
     v, e = profile[:, 0], profile[:, 1]
     if len(v) < 6:
-        raise InsufficientSamples(f"need >= 6 samples, got {len(v)}")
+        raise ValueError(f"need >= 6 samples, got {len(v)}")
     if len(np.unique(v)) != len(v):
-        raise DegenerateDesignMatrix("duplicate velocities in profile")
+        raise ValueError("duplicate velocities in profile")
     vander = np.vander(v, 6, increasing=True)
     coeffs, *_ = np.linalg.lstsq(vander, e, rcond=None)
     residual = vander @ coeffs - e

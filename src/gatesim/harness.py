@@ -43,7 +43,7 @@ from .planner import (
     write_trajectory_csv,
 )
 from .scene import EventCameraSim, WorldConfig, rewind_gate, step_gate
-from .tracker import GateTrack, SnnGateTracker, pixel_center_to_world
+from .tracker import GateTrack, SnnGateTracker, pixel_to_world_y
 
 EVENT_LATENCY = 0.2      # perception pipeline delay of the event path [s]
 DEPTH_LATENCY = 2.2      # depth-image pipeline delay: event path + 2 s [s]
@@ -194,8 +194,8 @@ def perceive(cfg: EpisodeConfig) -> tuple[Measurement | None, float]:
             continue
         empty_streak = 0
         depth = read_depth()
-        wx, wy, wz = pixel_center_to_world((box.center_x, box.center_y), depth, sim.camera)
-        tracks.append(GateTrack(wx, wy, wz, box.center_x, box.center_y, depth, sim.time))
+        world_y = pixel_to_world_y(box.center, depth, sim.camera)
+        tracks.append(GateTrack(sim.time, *box.center, depth, world_y))
         if len(tracks) == 2:
             first, second = tracks
             m = Measurement(first.world_y, second.world_y, first.t, second.t, second.depth)

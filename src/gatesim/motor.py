@@ -19,13 +19,7 @@ import numpy as np
 from scipy import optimize
 
 from .csvio import write_csv
-from .errors import (
-    BladeClearanceExceedsRadius,
-    EmptyProfile,
-    ExceedsMaxRotorSpeed,
-    ZeroTorqueConstant,
-    check_integer,
-)
+from .errors import check_integer
 
 RPM_TO_RAD = 2.0 * np.pi / 60.0
 
@@ -61,7 +55,7 @@ class MotorParams:
         if not self.resistance > 0:
             raise ValueError("resistance must be positive")
         if not self.k_t > 0:
-            raise ZeroTorqueConstant("torque constant must be positive")
+            raise ValueError("torque constant must be positive")
         if not all(x >= 0 for x in (self.friction_torque, self.damping, self.load_torque_coeff)):
             raise ValueError("friction, damping and load coefficients must be >= 0")
         if not (self.rotor_inertia > 0 and self.blade_mass >= 0 and self.blade_radius > 0):
@@ -73,7 +67,7 @@ def load_inertia(params: MotorParams) -> float:
     """Propeller load inertia: n_blades * blade_mass * (r - clearance)^2 / 4."""
     arm = params.blade_radius - params.blade_clearance
     if not arm >= 0:
-        raise BladeClearanceExceedsRadius(
+        raise ValueError(
             f"clearance {params.blade_clearance} exceeds radius {params.blade_radius}"
         )
     return 0.25 * params.n_blades * params.blade_mass * arm**2
@@ -155,7 +149,7 @@ class RotorSpeedProfile:
         if omegas.ndim != 1:
             raise ValueError("profile must have shape (n,)")
         if len(omegas) == 0:
-            raise EmptyProfile("rotor speed profile has no samples")
+            raise ValueError("rotor speed profile has no samples")
         if not self.dt > 0:
             raise ValueError("sample period must be positive")
         if not np.all((omegas >= 0) & (omegas <= self.omega_max + 1e-9)):
@@ -192,7 +186,7 @@ def hover_rotor_speed(c: EnergyCoefficients) -> float:
         return 4.0 * motor_power(c, w) - HOVER_POWER_W
 
     if gap(OMEGA_MAX) < 0:
-        raise ExceedsMaxRotorSpeed("target power unreachable below omega_max")
+        raise ValueError("target power unreachable below omega_max")
     return float(optimize.brentq(gap, 0.0, OMEGA_MAX, xtol=1e-12, rtol=1e-15))
 
 
@@ -243,7 +237,7 @@ def energy_velocity_profile(
 
     Flight time is depth / v and the energy is time * 4-motor steady power
     (acceleration transients excluded).  Returns an (n, 2) array of
-    (velocity, energy) rows.  Raises ExceedsMaxRotorSpeed naming the first
+    (velocity, energy) rows.  Raises ValueError naming the first
     grid speed whose rotor speed exceeds the motor limit.
     """
     if not 0 < depth < np.inf:
@@ -252,7 +246,7 @@ def energy_velocity_profile(
     over = np.flatnonzero(omegas > fm.omega_max)
     if over.size:
         v, omega = VELOCITY_GRID[over[0]], omegas[over[0]]
-        raise ExceedsMaxRotorSpeed(f"omega({v}) = {omega:.1f} rad/s exceeds the motor limit")
+        raise ValueError(f"omega({v}) = {omega:.1f} rad/s exceeds the motor limit")
     return np.column_stack([VELOCITY_GRID, depth / VELOCITY_GRID * 4.0 * motor_power(c, omegas)])
 
 

@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import write_csv
-from .errors import (
-    DivergenceDetected,
-    EmptyDataset,
-    NonPositiveDepth,
-    NonPositiveVelocity,
-    check_integer,
-)
+from .errors import check_integer
 from .fitting import physics_term
 
 HIDDEN_SIZES = (64, 128, 128)
@@ -136,7 +130,7 @@ def mlp_forward(params: MlpParams, depth, mode: str = "infer"):
     """
     depths = np.asarray(depth, dtype=float)
     if not (depths > 0).all():
-        raise NonPositiveDepth("depth must be positive")
+        raise ValueError("depth must be positive")
     v, _ = _forward(params, depths, mode)
     return float(v[0]) if depths.ndim == 0 else v
 
@@ -145,7 +139,7 @@ def training_batch(samples):
     """The batch the loss, its gradients and training take: depths, targets
     and the (constant) physics term of a sample list."""
     if len(samples) == 0:
-        raise EmptyDataset("no training samples")
+        raise ValueError("no training samples")
     depths = np.array([s.depth for s in samples])
     targets = np.array([s.v_star for s in samples])
     constraints = np.array([s.constraint for s in samples])
@@ -236,10 +230,10 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
     parameters and the loss history as (epoch, mse, physics, total) rows.
     The history costs one infer-mode pass per epoch; record_history=False
     skips it, returns an empty history and trains the same bits.
-    Raises DivergenceDetected when the loss becomes non-finite.
+    Raises ValueError when the loss becomes non-finite.
     """
     if len(samples) < 8:
-        raise EmptyDataset(f"need >= 8 training samples, got {len(samples)}")
+        raise ValueError(f"need >= 8 training samples, got {len(samples)}")
     batch = training_batch(samples)
     params = init_params(config.seed)
     # One adaptive-moment state: every trainable array becomes a view into
@@ -260,7 +254,7 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
     for epoch in range(config.epochs):
         loss, grads, batch_stats = pgnn_loss_grads(params, batch, config.lam)
         if not np.isfinite(loss):
-            raise DivergenceDetected(f"loss became {loss} at epoch {epoch}")
+            raise ValueError(f"loss became {loss} at epoch {epoch}")
         step = epoch + 1
         np.concatenate(grads, axis=None, out=grad)
         # In place, with the operations and operands of
@@ -294,9 +288,9 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
 def trajectory_time(v_pred: float, depth: float) -> float:
     """Planned flight duration: depth / predicted velocity."""
     if not v_pred > 0:
-        raise NonPositiveVelocity(f"v_pred {v_pred} is not positive")
+        raise ValueError(f"v_pred {v_pred} is not positive")
     if not depth > 0:
-        raise NonPositiveDepth(f"depth {depth} is not positive")
+        raise ValueError(f"depth {depth} is not positive")
     return depth / v_pred
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .errors import NonPositiveDuration, OutOfDomain
 from .scene import GateState, step_gate
 
 
@@ -98,10 +97,9 @@ def predict_intercept(inp: PlannerInput) -> InterceptResult:
 class MinJerkTrajectory:
     """Rest-to-rest quintic path: s(tau) = 10 tau^3 - 15 tau^4 + 6 tau^5.
 
-    Position, velocity and acceleration are available in closed form at any
-    time in [0, duration]; velocity and acceleration vanish exactly at both
-    ends.  Peak per-axis speed is 1.875 * |end - start| / duration at the
-    midpoint.
+    ``sample_arrays`` evaluates position, velocity and acceleration in
+    closed form; velocity and acceleration vanish exactly at both ends.
+    Peak per-axis speed is 1.875 * |end - start| / duration at the midpoint.
     """
 
     start: np.ndarray
@@ -115,30 +113,9 @@ class MinJerkTrajectory:
         if self.start.shape != self.end.shape:
             raise ValueError("start and end must have matching axes")
         if not self.duration > 0:
-            raise NonPositiveDuration(f"duration {self.duration} is not positive")
+            raise ValueError(f"duration {self.duration} is not positive")
         if not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive")
-
-
-def _shape(tau):
-    tau2, tau3 = tau**2, tau**3
-    s = tau3 * (10.0 - 15.0 * tau + 6.0 * tau2)
-    ds = 30.0 * tau2 - 60.0 * tau3 + 30.0 * tau**4
-    dds = 60.0 * tau - 180.0 * tau2 + 120.0 * tau3
-    return s, ds, dds
-
-
-def sample_state(traj: MinJerkTrajectory, t: float):
-    """(position, velocity, acceleration) per axis at time t in [0, duration]."""
-    if t < 0 or t > traj.duration:
-        raise OutOfDomain(f"t {t} outside [0, {traj.duration}]")
-    tau = t / traj.duration
-    s, ds, dds = _shape(tau)
-    delta = traj.end - traj.start
-    pos = traj.start + delta * s
-    vel = delta * ds / traj.duration
-    acc = delta * dds / traj.duration**2
-    return pos, vel, acc
 
 
 def sample_arrays(traj: MinJerkTrajectory):
@@ -153,7 +130,10 @@ def sample_arrays(traj: MinJerkTrajectory):
     else:
         times[-1] = traj.duration
     tau = times / traj.duration
-    s, ds, dds = _shape(tau)
+    tau2, tau3 = tau**2, tau**3
+    s = tau3 * (10.0 - 15.0 * tau + 6.0 * tau2)
+    ds = 30.0 * tau2 - 60.0 * tau3 + 30.0 * tau**4
+    dds = 60.0 * tau - 180.0 * tau2 + 120.0 * tau3
     delta = (traj.end - traj.start)[None, :]
     pos = traj.start[None, :] + delta * s[:, None]
     vel = delta * ds[:, None] / traj.duration

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .csvio import write_csv
-from .errors import NonPositiveDepth, check_integer
+from .errors import check_integer
 
 # One event per row: timestamp [s], pixel column, pixel row, polarity {+1, -1}.
 EVENT_DTYPE = np.dtype([("t", "f8"), ("x", "i4"), ("y", "i4"), ("p", "i1")])
@@ -100,12 +100,12 @@ def project_to_pixels(camera: CameraModel, point) -> tuple[float, float]:
     """Project a world point to (sub-pixel) image coordinates.
 
     The result may lie outside the sensor bounds; callers clip.  Raises
-    NonPositiveDepth for points at or behind the camera plane.
+    ValueError for points at or behind the camera plane.
     """
     rel = np.asarray(point, dtype=float) - np.asarray(camera.position)
     depth = float(rel @ np.asarray(camera.forward))
     if depth <= 0:
-        raise NonPositiveDepth(f"point depth {depth} is not positive")
+        raise ValueError(f"point depth {depth} is not positive")
     px = camera.cx + camera.focal_px * float(rel @ np.asarray(camera.right)) / depth
     py = camera.cy - camera.focal_px * float(rel @ np.asarray(camera.up)) / depth
     return px, py

@@ -4,8 +4,8 @@ Each pixel drives one LIF neuron through a small weighted neighborhood kernel.
 Dense event activity (fast apparent motion) pushes membrane potentials past
 threshold; sparse activity leaks away.  The bounding box of the events
 recovered around spiking neurons localizes the moving gate in pixels; the
-harness places that box in the world with a depth reading
-(``pixel_center_to_world``) and records it as a ``GateTrack``.
+harness back-projects the box center's column at a depth reading
+(``pixel_to_world_y``) and records the fix as a ``GateTrack``.
 
 ``lif_step`` updates the membrane it is given in place; the tracker hands it
 a crop of its full-sensor membrane.  Its work follows the events: the kernel
@@ -15,12 +15,11 @@ pixels that saw an event, not with the area of the crop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .csvio import write_csv
-from .errors import DimensionMismatch, InvalidExtents, NonPositiveDepth
 from .scene import CameraModel, events_to_frame
 
 
@@ -110,14 +109,14 @@ def lif_step(
     Returns ``(grid, spikes)``: ``grid`` itself, updated, and a boolean spike
     frame.  ``frame`` is not written.  Every check runs before the first
     write, so a call that raises leaves ``grid`` as it was: a shape mismatch
-    raises DimensionMismatch, a negative or NaN count ValueError, and a grid
-    of another type or dtype, or a read-only one, TypeError.
+    or a negative or NaN count raises ValueError, and a grid of another type
+    or dtype, or a read-only one, TypeError.
     """
     if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.flags.writeable):
         raise TypeError("grid must be a writable float64 array")
     frame = np.asarray(frame)
     if frame.shape != grid.shape:
-        raise DimensionMismatch(f"frame {frame.shape} vs grid {grid.shape}")
+        raise ValueError(f"frame {frame.shape} vs grid {grid.shape}")
     if not (frame >= 0).all():
         raise ValueError("event counts must be nonnegative")
     drive = _drive(frame, np.asarray(config.kernel, dtype=np.float64))
@@ -130,26 +129,18 @@ def lif_step(
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Pixel-extent box with its integer center."""
+    """Pixel-extent box, inclusive on both ends."""
 
     x_min: int
     x_max: int
     y_min: int
     y_max: int
-    center_x: int
-    center_y: int
 
-
-def bbox_center(x_min: int, x_max: int, y_min: int, y_max: int) -> tuple[int, int]:
-    """Integer box center: min + floor(extent / 2) on each axis."""
-    if x_min > x_max or y_min > y_max:
-        raise InvalidExtents(f"({x_min},{x_max},{y_min},{y_max})")
-    return x_min + (x_max - x_min) // 2, y_min + (y_max - y_min) // 2
-
-
-def make_bbox(x_min: int, x_max: int, y_min: int, y_max: int) -> BoundingBox:
-    cx, cy = bbox_center(x_min, x_max, y_min, y_max)
-    return BoundingBox(x_min, x_max, y_min, y_max, cx, cy)
+    @property
+    def center(self) -> tuple[int, int]:
+        """Integer box center (x, y): min + floor(extent / 2) on each axis."""
+        return (self.x_min + (self.x_max - self.x_min) // 2,
+                self.y_min + (self.y_max - self.y_min) // 2)
 
 
 # row and column offsets of a pixel's 3x3 neighbourhood
@@ -169,7 +160,7 @@ def track_bbox(spikes: np.ndarray, prev_frame: np.ndarray) -> BoundingBox | None
     spikes = np.asarray(spikes, dtype=bool)
     prev_frame = np.asarray(prev_frame)
     if spikes.shape != prev_frame.shape:
-        raise DimensionMismatch(f"spikes {spikes.shape} vs events {prev_frame.shape}")
+        raise ValueError(f"spikes {spikes.shape} vs events {prev_frame.shape}")
     h, w = spikes.shape
     ys, xs = np.divmod(np.flatnonzero(spikes), w)
     if not len(ys):
@@ -180,36 +171,30 @@ def track_bbox(spikes: np.ndarray, prev_frame: np.ndarray) -> BoundingBox | None
     if not recovered.any():
         return None
     ys, xs = ys[recovered], xs[recovered]
-    return make_bbox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
+    return BoundingBox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
 
 
-def pixel_center_to_world(
-    center: tuple[float, float], depth: float, camera: CameraModel
-) -> tuple[float, float, float]:
-    """Back-project a pixel center at a known depth to world coordinates."""
+def pixel_to_world_y(center: tuple[float, float], depth: float, camera: CameraModel) -> float:
+    """World y (lateral) coordinate of a pixel center back-projected at a known depth."""
     if depth <= 0:
-        raise NonPositiveDepth(f"depth {depth} is not positive")
+        raise ValueError(f"depth {depth} is not positive")
     px, py = center
-    rel = (
-        depth * np.asarray(camera.forward)
-        + depth * (px - camera.cx) / camera.focal_px * np.asarray(camera.right)
-        + depth * (camera.cy - py) / camera.focal_px * np.asarray(camera.up)
-    )
-    world = np.asarray(camera.position) + rel
-    return float(world[0]), float(world[1]), float(world[2])
+    return float(camera.position[1] + (
+        depth * camera.forward[1]
+        + depth * (px - camera.cx) / camera.focal_px * camera.right[1]
+        + depth * (camera.cy - py) / camera.focal_px * camera.up[1]
+    ))
 
 
 @dataclass(frozen=True)
 class GateTrack:
-    """One gate fix: the box center back-projected at a depth reading, at time t."""
+    """One gate fix, in track-CSV column order: its time, box center, depth and world y."""
 
-    world_x: float
-    world_y: float
-    world_z: float
-    pixel_x: int
-    pixel_y: int
-    depth: float
     t: float
+    center_x: int
+    center_y: int
+    depth: float
+    world_y: float
 
 
 class SnnGateTracker:
@@ -269,8 +254,8 @@ class SnnGateTracker:
                 prev[py0 - y0:py1 - y0, px0 - x0:px1 - x0] = self._live_events
             found = track_bbox(spikes, prev)
             if found is not None:
-                box = make_bbox(found.x_min + x0, found.x_max + x0,
-                                found.y_min + y0, found.y_max + y0)
+                box = BoundingBox(found.x_min + x0, found.x_max + x0,
+                                  found.y_min + y0, found.y_max + y0)
         if y0 < y1:  # else no events and nothing live: no state to keep
             self._live, self._live_events = region, frame > 0
         return box
@@ -279,4 +264,4 @@ class SnnGateTracker:
 def write_track_csv(tracks, path) -> None:
     """Export a track log as CSV: t,center_x,center_y,depth,world_y per sensing step."""
     columns = {"t": ".6f", "center_x": "", "center_y": "", "depth": ".6f", "world_y": ".6f"}
-    write_csv(path, columns, ((tr.t, tr.pixel_x, tr.pixel_y, tr.depth, tr.world_y) for tr in tracks))
+    write_csv(path, columns, map(astuple, tracks))

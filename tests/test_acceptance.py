@@ -19,7 +19,7 @@ from gatesim.motor import (
     hover_rotor_speed,
     motor_power,
 )
-from gatesim.planner import MinJerkTrajectory, PlannerInput, predict_intercept, sample_state
+from gatesim.planner import MinJerkTrajectory, PlannerInput, predict_intercept, sample_arrays
 from gatesim.scene import EventCameraSim, GateState, WorldConfig, annulus_bbox, step_gate
 from gatesim.tracker import LifConfig, lif_step, new_membrane_grid, track_bbox
 from gatesim.scene import events_to_frame
@@ -239,14 +239,14 @@ def test_criterion_7_intercept_oracle():
 def test_criterion_8_min_jerk_properties():
     t0 = time.monotonic()
     traj = MinJerkTrajectory([0.0], [3.0], 0.8)
-    p0, v0, a0 = sample_state(traj, 0.0)
-    pT, vT, aT = sample_state(traj, 0.8)
+    _, pos, vel, acc = sample_arrays(traj)
+    (p0, pT), (v0, vT), (a0, aT) = pos[[0, -1]], vel[[0, -1]], acc[[0, -1]]
     boundaries = (
         p0[0] == 0.0 and pT[0] == 3.0
         and v0[0] == 0.0 and vT[0] == 0.0
         and a0[0] == 0.0 and aT[0] == 0.0
     )
-    mid, _, _ = sample_state(MinJerkTrajectory([0.0], [1.0], 1.0), 0.5)
+    mid = sample_arrays(MinJerkTrajectory([0.0], [1.0], 1.0))[1][500]
     midpoint = abs(mid[0] - 0.5) < 1e-12
 
     dt = 1e-4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatesim import harness, pgnn
-from gatesim.cli import main
+from gatesim.cli import build_parser, main
 from gatesim.harness import EpisodeConfig, write_episode_config, write_grid_cells_csv
 from gatesim.harness import GridCell
 from gatesim.pgnn import load_params, mlp_forward
@@ -203,6 +203,32 @@ def test_train_pgnn_rejects_bad_depth(tmp_path, capsys, depth):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3 of") and "depth must be finite and positive" in err
     assert not out.exists()
+
+
+def test_train_pgnn_rejects_too_few_samples(tmp_path, capsys):
+    # a well-formed dataset that training itself rejects
+    data_path = tmp_path / "dataset.csv"
+    rows = "".join(f"{depth},8,1,1,1,1,1\n" for depth in (2, 3, 4))
+    data_path.write_text("depth,v_star,k1,k2,k3,k4,k5\n" + rows)
+    out = tmp_path / "p.npz"
+    code = main(["train-pgnn", "--dataset", str(data_path), "--epochs", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need >= 8 training samples, got 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["run", "--config", "c.ini"],
+     dict(config="c.ini", trajectory_out=None, epochs=2000, model_seed=0)),
+    (["benchmark", "--out", "o.csv"],
+     dict(grid=None, out="o.csv", runs=10, seed=0, epochs=2000, model_seed=0)),
+    (["ablation", "--out", "o.csv"],
+     dict(out="o.csv", runs=10, seed=0, epochs=2000, model_seed=0)),
+])
+def test_episode_commands_options_and_defaults(argv, want):
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("command") == argv[0] and callable(args.pop("func"))
+    assert args == want
 
 
 @pytest.mark.parametrize("command", ["benchmark", "ablation"])

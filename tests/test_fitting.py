@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gatesim.errors import DegenerateDesignMatrix, InsufficientSamples
 from gatesim.fitting import (
     QuinticFit,
     build_dataset,
@@ -43,12 +42,12 @@ class TestFitQuintic:
 
     def test_insufficient_samples(self):
         v = np.arange(1.0, 6.0)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ValueError, match="need >= 6 samples"):
             fit_quintic(np.column_stack([v, v]))
 
     def test_duplicate_velocities(self):
         v = np.array([1.0, 2.0, 2.0, 4.0, 5.0, 6.0])
-        with pytest.raises(DegenerateDesignMatrix):
+        with pytest.raises(ValueError, match="duplicate velocities"):
             fit_quintic(np.column_stack([v, v]))
 
 

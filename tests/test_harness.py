@@ -330,8 +330,10 @@ def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
     targets = [
         (harness, "predict_intercept"), (harness, "sample_arrays"),
         (harness, "trajectory_energy"), (pgnn, "mlp_forward"),
-        (tracker.SnnGateTracker, "process_bin"),
+        (tracker.SnnGateTracker, "process_bin"), (tracker, "events_to_frame"),
+        (tracker, "lif_step"), (tracker, "track_bbox"),
     ]
+    event_only = {"process_bin", "events_to_frame", "lif_step", "track_bbox"}
     calls = Counter()
 
     def counted(name, fn):
@@ -343,7 +345,7 @@ def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
     for owner, name in targets:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     names = {name for _, name in targets}
-    for mode, expected in (("event-snn", names), ("depth-baseline", names - {"process_bin"})):
+    for mode, expected in (("event-snn", names), ("depth-baseline", names - event_only)):
         calls.clear()
         result = run_episode(EpisodeConfig(perception_mode=mode, seed=3), quick_models)
         assert not result.tracking_lost

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatesim.errors import NonPositiveDepth
 from gatesim.scene import (
     EVENT_DTYPE,
     CameraModel,
@@ -106,9 +105,9 @@ class TestProjection:
         assert py == pytest.approx(240.0)
 
     def test_zero_depth_rejected(self):
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(ValueError, match="point depth .* is not positive"):
             project_to_pixels(self.cam, (0.0, 0.5, 0.0))
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(ValueError, match="point depth .* is not positive"):
             project_to_pixels(self.cam, (-1.0, 0.0, 0.0))
 
     def test_result_may_leave_sensor(self):

@@ -8,11 +8,6 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from gatesim import tracker as tracker_mod
-from gatesim.errors import (
-    DimensionMismatch,
-    InvalidExtents,
-    NonPositiveDepth,
-)
 from gatesim.scene import (
     EVENT_DTYPE,
     CameraModel,
@@ -22,14 +17,13 @@ from gatesim.scene import (
     project_to_pixels,
 )
 from gatesim.tracker import (
+    BoundingBox,
     GateTrack,
     LifConfig,
     SnnGateTracker,
-    bbox_center,
     lif_step,
-    make_bbox,
     new_membrane_grid,
-    pixel_center_to_world,
+    pixel_to_world_y,
     track_bbox,
     write_track_csv,
 )
@@ -87,7 +81,7 @@ class TestLifStep:
         assert np.all(m_big[~s_big] >= m_small[~s_big] - 1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"frame \(5, 4\) vs grid \(4, 4\)"):
             lif_step(new_membrane_grid((4, 4)), LifConfig(), np.zeros((5, 4)))
 
     def test_negative_counts_rejected(self):
@@ -158,7 +152,8 @@ class TestLifStep:
         else:
             frame[4, 5] = -1.0 if bad == "negative" else np.nan
         before = grid.copy()
-        with pytest.raises(DimensionMismatch if bad == "shape" else ValueError):
+        match = "vs grid" if bad == "shape" else "event counts must be nonnegative"
+        with pytest.raises(ValueError, match=match):
             lif_step(grid, cfg, frame)
         assert grid.tobytes() == before.tobytes()
         _lif_step_checked(grid, cfg, np.full(grid.shape, 20.0))
@@ -177,13 +172,10 @@ class TestLifStep:
 
 class TestBoundingBox:
     def test_center_examples(self):
-        assert bbox_center(0, 0, 0, 0) == (0, 0)
-        assert bbox_center(100, 180, 50, 130) == (140, 90)
-        assert bbox_center(0, 5, 0, 5) == (2, 2)  # floor of 2.5
-
-    def test_invalid_extents(self):
-        with pytest.raises(InvalidExtents):
-            bbox_center(5, 0, 0, 5)
+        assert BoundingBox(0, 0, 0, 0).center == (0, 0)
+        assert BoundingBox(100, 180, 50, 130).center == (140, 90)
+        assert BoundingBox(0, 5, 0, 5).center == (2, 2)  # floor of 2.5
+        assert BoundingBox(10, 20, 30, 40).center == (15, 35)
 
     @given(
         x0=st.integers(0, 600), w=st.integers(0, 100),
@@ -191,7 +183,7 @@ class TestBoundingBox:
     )
     @settings(max_examples=200, deadline=None)
     def test_center_inside_box(self, x0, w, y0, h):
-        cx, cy = bbox_center(x0, x0 + w, y0, y0 + h)
+        cx, cy = BoundingBox(x0, x0 + w, y0, y0 + h).center
         assert x0 <= cx <= x0 + w
         assert y0 <= cy <= y0 + h
 
@@ -217,8 +209,8 @@ class TestBoundingBox:
         prev = np.zeros((10, 10), dtype=np.int32)
         prev[5, 5] = 3
         box = track_bbox(spikes, prev)
-        assert box.x_min == box.x_max == box.center_x == 5
-        assert box.y_min == box.y_max == box.center_y == 5
+        assert box.x_min == box.x_max == box.center[0] == 5
+        assert box.y_min == box.y_max == box.center[1] == 5
 
     def test_spikes_without_nearby_events(self):
         spikes = np.zeros((10, 10), dtype=bool)
@@ -226,10 +218,6 @@ class TestBoundingBox:
         prev = np.zeros((10, 10), dtype=np.int32)
         prev[0, 0] = 1
         assert track_bbox(spikes, prev) is None
-
-    def test_make_bbox(self):
-        box = make_bbox(10, 20, 30, 40)
-        assert (box.center_x, box.center_y) == (15, 35)
 
 
 class TestBackProjection:
@@ -240,33 +228,31 @@ class TestBackProjection:
         )
 
     def test_principal_point_on_axis(self):
-        wx, wy, wz = pixel_center_to_world((320.0, 240.0), 3.0, self.cam)
-        assert (wx, wy, wz) == (pytest.approx(3.0), pytest.approx(0.0), pytest.approx(0.0))
+        assert pixel_to_world_y((320.0, 240.0), 3.0, self.cam) == pytest.approx(0.0)
 
     def test_inverse_of_projection_example(self):
-        wx, wy, wz = pixel_center_to_world((570.0, 240.0), 1.0, self.cam)
-        assert wy == pytest.approx(0.5)
+        assert pixel_to_world_y((570.0, 240.0), 1.0, self.cam) == pytest.approx(0.5)
 
     def test_roundtrip_exact_for_float_centers(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             point = (rng.uniform(0.5, 8.0), rng.uniform(-3, 3), rng.uniform(-2, 2))
             px, py = project_to_pixels(self.cam, point)
-            back = pixel_center_to_world((px, py), point[0], self.cam)
-            assert np.allclose(back, point, atol=1e-9)
+            world_y = pixel_to_world_y((px, py), point[0], self.cam)
+            assert world_y == pytest.approx(point[1], abs=1e-9)
 
     def test_roundtrip_within_one_pixel_for_integer_centers(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             point = (rng.uniform(0.5, 8.0), rng.uniform(-3, 3), rng.uniform(-2, 2))
             px, py = project_to_pixels(self.cam, point)
-            world = pixel_center_to_world((round(px), round(py)), point[0], self.cam)
-            qx, qy = project_to_pixels(self.cam, world)
-            assert abs(qx - px) <= 1.0 and abs(qy - py) <= 1.0
+            world_y = pixel_to_world_y((round(px), round(py)), point[0], self.cam)
+            qx, _ = project_to_pixels(self.cam, (point[0], world_y, point[2]))
+            assert abs(qx - px) <= 1.0
 
     def test_nonpositive_depth(self):
-        with pytest.raises(NonPositiveDepth):
-            pixel_center_to_world((320, 240), 0.0, self.cam)
+        with pytest.raises(ValueError, match="depth 0.0 is not positive"):
+            pixel_to_world_y((320, 240), 0.0, self.cam)
 
 
 class TestTrackerPipeline:
@@ -290,9 +276,7 @@ class TestTrackerPipeline:
         # the gate's lateral position around that bin
         for box, state in zip(boxes[2:], states[2:]):
             if box is not None:
-                _, world_y, _ = pixel_center_to_world(
-                    (box.center_x, box.center_y), cfg.depth, cfg.camera()
-                )
+                world_y = pixel_to_world_y(box.center, cfg.depth, cfg.camera())
                 assert abs(world_y - state.y) < 0.25
 
     def test_first_bin_never_tracks(self):
@@ -331,8 +315,8 @@ class TestTrackerPipeline:
 
 def test_track_csv_format(tmp_path):
     tracks = [
-        GateTrack(1.0, 0.5, 0.0, 340, 240, 4.0, 0.1),
-        GateTrack(1.0, 0.55, 0.0, 343, 240, 4.0, 0.2),
+        GateTrack(0.1, 340, 240, 4.0, 0.5),
+        GateTrack(0.2, 343, 240, 4.0, 0.55),
     ]
     path = tmp_path / "tracks.csv"
     write_track_csv(tracks, path)
@@ -460,7 +444,7 @@ def _track_bbox_reference(spikes, prev_frame):
     if not recovered.any():
         return None
     ys, xs = np.nonzero(recovered)
-    return make_bbox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
+    return BoundingBox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
 
 
 def _lif_step_checked(grid, config, frame):
