@@ -175,7 +175,6 @@ class TestBoundingBox:
         assert BoundingBox(0, 0, 0, 0).center == (0, 0)
         assert BoundingBox(100, 180, 50, 130).center == (140, 90)
         assert BoundingBox(0, 5, 0, 5).center == (2, 2)  # floor of 2.5
-        assert BoundingBox(10, 20, 30, 40).center == (15, 35)
 
     @given(
         x0=st.integers(0, 600), w=st.integers(0, 100),
@@ -211,6 +210,11 @@ class TestBoundingBox:
         box = track_bbox(spikes, prev)
         assert box.x_min == box.x_max == box.center[0] == 5
         assert box.y_min == box.y_max == box.center[1] == 5
+
+    def test_make_bbox(self):
+        box = BoundingBox(10, 20, 30, 40)
+        assert (box.x_min, box.x_max, box.y_min, box.y_max) == (10, 20, 30, 40)
+        assert box.center == (15, 35)
 
     def test_spikes_without_nearby_events(self):
         spikes = np.zeros((10, 10), dtype=bool)
