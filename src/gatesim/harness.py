@@ -175,7 +175,7 @@ def perceive(cfg: EpisodeConfig) -> tuple[Measurement | None, float]:
         m = Measurement(gate.y, step_gate(gate, dt).y, 0.0, dt, read_depth())
         return m, 2.0 * cfg.sensing_dt
 
-    frames_per_bin = max(1, round(cfg.sensing_dt / cfg.frame_dt))
+    frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
     sim = EventCameraSim(
         cfg, start_time=-cfg.sensing_dt, gate=rewind_gate(cfg.gate(), cfg.sensing_dt)
     )
@@ -209,7 +209,7 @@ def plan(cfg: EpisodeConfig, models: PlannerModels, m: Measurement) -> MinJerkTr
     L = cfg.gate_bound
     y1 = min(max(m.y1, -L), L)
     y2 = min(max(m.y2, -L), L)
-    v_pred = pgnn_mod.mlp_forward(models.planner_params(cfg.planner_mode), m.depth, "infer")
+    v_pred = pgnn_mod.mlp_forward(models.planner_params(cfg.planner_mode), m.depth)
     t_traj = pgnn_mod.trajectory_time(v_pred, m.depth)
     y_star = predict_intercept(PlannerInput(t_traj, L, y1, y2, m.t2 - m.t1)).y_star
     return MinJerkTrajectory([cfg.drone_x, cfg.drone_y], [cfg.gate_plane_x, y_star], t_traj)
@@ -303,23 +303,23 @@ _GATE_START = {
 }
 
 
-def default_success_grid(gate_speed: float = 0.5) -> list[GridCell]:
+def default_success_grid() -> list[GridCell]:
     """15 starting-point cells: depths 2-6 m x drone lateral {0, +-1, +-2}."""
     cells = []
     for x in range(5):
         for y_abs in (0, 1, 2):
-            cells.append(GridCell(float(x), float(y_abs), _GATE_START[x][y_abs], gate_speed))
+            cells.append(GridCell(float(x), float(y_abs), _GATE_START[x][y_abs]))
     return cells
 
 
-def energy_suite_cells(gate_speed: float = 0.5) -> list[GridCell]:
+def energy_suite_cells() -> list[GridCell]:
     """25 flights: depths 2-6 m x drone lateral {0, 1, -1, 2, -2}."""
     cells = []
     for x in range(5):
         for y in (0.0, 1.0, -1.0, 2.0, -2.0):
             base = _GATE_START[x][int(abs(y))]
             gate_y0 = base if y >= 0 else -base
-            cells.append(GridCell(float(x), y, gate_y0, gate_speed))
+            cells.append(GridCell(float(x), y, gate_y0))
     return cells
 
 

@@ -93,8 +93,6 @@ def _mean0(a):
 
 def _forward(params: MlpParams, depths: np.ndarray, mode: str):
     """Forward pass on raw depths: predictions, and in train mode the caches backprop needs."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
     caches = []
     h = (depths * DEPTH_SCALE).reshape(-1, 1)
     n_hidden = len(params.bn_gamma)
@@ -122,16 +120,16 @@ def _forward(params: MlpParams, depths: np.ndarray, mode: str):
     return v.ravel(), caches
 
 
-def mlp_forward(params: MlpParams, depth, mode: str = "infer"):
+def mlp_forward(params: MlpParams, depth):
     """Predicted velocity [m/s] for one depth or an array of depths.
 
-    Deterministic in infer mode (running statistics); the output is clamped
-    smoothly onto [V_MIN, V_MAX].
+    Runs in infer mode, normalising by the running statistics, so it is
+    deterministic; the output is clamped smoothly onto [V_MIN, V_MAX].
     """
     depths = np.asarray(depth, dtype=float)
     if not (depths > 0).all():
         raise ValueError("depth must be positive")
-    v, _ = _forward(params, depths, mode)
+    v, _ = _forward(params, depths, "infer")
     return float(v[0]) if depths.ndim == 0 else v
 
 

@@ -1,7 +1,9 @@
 """Synthetic world: a bouncing circular gate, a pinhole camera, and a DVS-style event generator.
 
 The gate is a hoop of fixed radius moving laterally at constant speed between
-two reversal walls.  A simulated event camera watches the gate plane and emits
+two reversal walls.  The camera has fixed intrinsics (500 px focal length,
+640x480 sensor) and looks along -x from the drone, so projection is a few
+scalar formulas.  A simulated event camera watches the gate plane and emits
 per-pixel polarity events whenever the rasterized hoop annulus covers or
 uncovers a pixel between consecutive frames.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,25 +78,19 @@ def rewind_gate(state: GateState, dt: float) -> GateState:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera with axis-aligned pose.
+    """Pinhole camera at ``position``, looking along -x.
 
-    The camera sits at ``position`` and looks along ``forward``; ``right``
-    maps to increasing pixel column and ``up`` to decreasing pixel row.
+    World +y maps to increasing pixel column and +z to decreasing pixel row.
+    The intrinsics are the one sensor's constants.
     """
 
-    focal_px: float = 500.0
-    cx: float = 320.0
-    cy: float = 240.0
-    width: int = 640
-    height: int = 480
+    focal_px: ClassVar[float] = 500.0
+    cx: ClassVar[float] = 320.0
+    cy: ClassVar[float] = 240.0
+    width: ClassVar[int] = 640
+    height: ClassVar[int] = 480
+    shape: ClassVar[tuple[int, int]] = (height, width)
     position: tuple[float, float, float] = (2.0, 0.0, 0.0)
-    forward: tuple[float, float, float] = (-1.0, 0.0, 0.0)
-    right: tuple[float, float, float] = (0.0, 1.0, 0.0)
-    up: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
 
 
 def project_to_pixels(camera: CameraModel, point) -> tuple[float, float]:
@@ -102,20 +99,17 @@ def project_to_pixels(camera: CameraModel, point) -> tuple[float, float]:
     The result may lie outside the sensor bounds; callers clip.  Raises
     ValueError for points at or behind the camera plane.
     """
-    rel = np.asarray(point, dtype=float) - np.asarray(camera.position)
-    depth = float(rel @ np.asarray(camera.forward))
+    x, y, z = camera.position
+    depth = float(x - point[0])
     if depth <= 0:
         raise ValueError(f"point depth {depth} is not positive")
-    px = camera.cx + camera.focal_px * float(rel @ np.asarray(camera.right)) / depth
-    py = camera.cy - camera.focal_px * float(rel @ np.asarray(camera.up)) / depth
-    return px, py
+    return (camera.cx + camera.focal_px * float(point[1] - y) / depth,
+            camera.cy - camera.focal_px * float(point[2] - z) / depth)
 
 
 def gate_depth(camera: CameraModel, gate: GateState) -> float:
     """Distance from the camera to the gate plane along the viewing axis."""
-    center = np.asarray((gate.plane_x, gate.y, 0.0))
-    rel = center - np.asarray(camera.position)
-    return float(rel @ np.asarray(camera.forward))
+    return float(camera.position[0] - gate.plane_x)
 
 
 def _check_ring(threshold: float, thickness_px: float) -> None:

@@ -1,8 +1,9 @@
 """Spiking gate tracker: a single leaky integrate-and-fire layer over the pixel grid.
 
-Each pixel drives one LIF neuron through a small weighted neighborhood kernel.
-Dense event activity (fast apparent motion) pushes membrane potentials past
-threshold; sparse activity leaks away.  The bounding box of the events
+Each pixel drives one LIF neuron through the fixed 3x3 kernel ``KERNEL``; the
+neurons share the constants ``LEAK`` and ``THRESHOLD``.  Dense event activity
+(fast apparent motion) pushes membrane potentials past threshold; sparse
+activity leaks away.  The bounding box of the events
 recovered around spiking neurons localizes the moving gate in pixels; the
 harness back-projects the box center's column at a depth reading
 (``pixel_to_world_y``) and records the fix as a ``GateTrack``.
@@ -15,57 +16,29 @@ pixels that saw an event, not with the area of the crop.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .csvio import write_csv
 from .scene import CameraModel, events_to_frame
 
-
-def _default_kernel() -> np.ndarray:
-    return np.full((3, 3), 0.15)
-
-
-@dataclass(frozen=True)
-class LifConfig:
-    """Leaky integrate-and-fire layer parameters (reset-to-zero)."""
-
-    leak: float = 0.1
-    threshold: float = 1.75
-    kernel: np.ndarray = field(default_factory=_default_kernel)
-
-    def __post_init__(self):
-        if not 0.0 < self.leak < 1.0:
-            raise ValueError("leak factor must be in (0, 1)")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
-        kernel = np.asarray(self.kernel)
-        if kernel.ndim != 2 or not kernel.size:
-            raise ValueError(f"kernel must be a nonempty 2-D array, got shape {kernel.shape}")
-        if not np.all(np.isfinite(kernel) & (kernel >= 0)):
-            raise ValueError("kernel weights must be finite and nonnegative")
+# the layer's LIF neurons (reset-to-zero) and the 3x3 kernel weighting each
+# neuron's neighbourhood of event counts
+LEAK = 0.1
+THRESHOLD = 1.75
+KERNEL = np.full((3, 3), 0.15)
+KERNEL.flags.writeable = False
 
 
-def new_membrane_grid(shape: tuple[int, int]) -> np.ndarray:
-    """Fresh all-zero membrane potential grid, one neuron per pixel."""
-    return np.zeros(shape, dtype=np.float64)
+def _drive(frame: np.ndarray) -> np.ndarray:
+    """KERNEL's correlation with ``frame``, zero outside it, scattered from the event pixels.
 
-
-# scipy.ndimage.correlate leaves out every weight no larger than this
-_NEGLIGIBLE_WEIGHT = np.finfo(np.float64).eps
-
-
-def _drive(frame: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The kernel's correlation with ``frame``, zero outside it, scattered from the event pixels.
-
-    A source at least the kernel's reach inside the frame drives only pixels
-    of the frame, so each tap shifts it by one flat offset; the few sources
-    nearer the border drop the targets that fall outside.
+    A source at least one pixel inside the frame drives only pixels of the
+    frame, so each tap shifts it by one flat offset; the few sources on the
+    border drop the targets that fall outside.
     """
     h, w = frame.shape
-    kh, kw = kernel.shape
-    cy, cx = kh // 2, kw // 2
     # allocated before the small temporaries below, so that a free block of
     # exactly its size (the int64 counts events_to_frame has just freed) can
     # hold it whole, rather than the heap growing by a frame in many bins
@@ -73,36 +46,32 @@ def _drive(frame: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     src = np.flatnonzero(frame > 0)
     counts = frame.take(src).astype(np.float64)
     ys, xs = np.divmod(src, w)
-    inner = (ys >= kh - 1 - cy) & (ys < h - cy) & (xs >= kw - 1 - cx) & (xs < w - cx)
+    inner = (ys >= 1) & (ys < h - 1) & (xs >= 1) & (xs < w - 1)
     edge_ys, edge_xs, edge_counts = ys[~inner], xs[~inner], counts[~inner]
     src, counts = src[inner], counts[inner]
     flat = drive.ravel()
-    for (dy, dx), weight in np.ndenumerate(kernel):
-        if weight <= _NEGLIGIBLE_WEIGHT:
-            continue
-        np.add.at(flat, src - ((dy - cy) * w + (dx - cx)), counts * weight)
+    for (dy, dx), weight in np.ndenumerate(KERNEL):
+        dy, dx = dy - 1, dx - 1
+        np.add.at(flat, src - (dy * w + dx), counts * weight)
         if len(edge_counts):
-            ty, tx = edge_ys - (dy - cy), edge_xs - (dx - cx)
+            ty, tx = edge_ys - dy, edge_xs - dx
             keep = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
             np.add.at(flat, (ty * w + tx)[keep], edge_counts[keep] * weight)
     return drive
 
 
-def lif_step(
-    grid: np.ndarray, config: LifConfig, frame: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LIF update in place: U <- leak * U + kernel (x) frame; spike and reset at threshold.
+def lif_step(grid: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LIF update in place: U <- LEAK * U + KERNEL (x) frame; spike and reset at THRESHOLD.
 
     ``grid`` must be a writable float64 array; ``frame`` holds per-pixel event
     counts for the time bin (zero-padded borders for the neighborhood sum).
 
-    The drive ``kernel (x) frame`` is scattered from the frame's nonzero
+    The drive ``KERNEL (x) frame`` is scattered from the frame's nonzero
     pixels, one kernel tap at a time in row-major order, into a zeroed
     accumulator: each tap adds ``float(count) * weight`` to the pixel its
     source drives.  This has the bits of ``scipy.ndimage.correlate``
     (``mode="constant"``), which sums the same products over the taps in the
-    same order from 0.0, and leaves out weights no larger than float64 eps,
-    as the scatter does.  A zero count adds +0.0, which changes no
+    same order from 0.0.  A zero count adds +0.0, which changes no
     nonnegative sum; and within one tap every target is distinct, so each
     target sees the same additions in the same order.
 
@@ -119,10 +88,10 @@ def lif_step(
         raise ValueError(f"frame {frame.shape} vs grid {grid.shape}")
     if not (frame >= 0).all():
         raise ValueError("event counts must be nonnegative")
-    drive = _drive(frame, np.asarray(config.kernel, dtype=np.float64))
-    grid *= config.leak
+    drive = _drive(frame)
+    grid *= LEAK
     grid += drive
-    spikes = grid >= config.threshold
+    spikes = grid >= THRESHOLD
     grid[spikes] = 0.0
     return grid, spikes
 
@@ -178,12 +147,7 @@ def pixel_to_world_y(center: tuple[float, float], depth: float, camera: CameraMo
     """World y (lateral) coordinate of a pixel center back-projected at a known depth."""
     if depth <= 0:
         raise ValueError(f"depth {depth} is not positive")
-    px, py = center
-    return float(camera.position[1] + (
-        depth * camera.forward[1]
-        + depth * (px - camera.cx) / camera.focal_px * camera.right[1]
-        + depth * (camera.cy - py) / camera.focal_px * camera.up[1]
-    ))
+    return float(camera.position[1] + depth * (center[0] - camera.cx) / camera.focal_px)
 
 
 @dataclass(frozen=True)
@@ -206,26 +170,22 @@ class SnnGateTracker:
 
     Each bin updates only a region of the grid: the *live box*, which holds
     every nonzero potential, joined with the bin's events and widened by the
-    kernel radius.  Outside it the potential is +0.0 and gets no drive, so
-    it stays +0.0 and cannot reach the positive threshold; the result is the
-    full-grid update, bit for bit.
+    kernel's one-pixel reach.  Outside it the potential is +0.0 and gets no
+    drive, so it stays +0.0 and cannot reach the positive threshold; the
+    result is the full-grid update, bit for bit.
     """
 
-    def __init__(self, camera: CameraModel, config: LifConfig | None = None):
+    def __init__(self, camera: CameraModel):
         self.camera = camera
-        self.config = config if config is not None else LifConfig()
-        self.membrane = new_membrane_grid(camera.shape)
+        self.membrane = np.zeros(camera.shape)
         # (y0, y1, x0, x1), half-open: the previous bin's region, which holds
         # every nonzero potential, and its event pixels; None before any
         self._live: tuple[int, int, int, int] | None = None
         self._live_events: np.ndarray | None = None
 
     def _region(self, events: np.ndarray):
-        """This bin's update box: the live box and the events, widened by the kernel's reach.
-
-        An event pixel drives the ``(k - 1) // 2`` pixels before it and the
-        ``k // 2`` after it on an axis of kernel size ``k``.
-        """
+        """This bin's update box: the live box and the events, widened by the
+        kernel's one-pixel reach and clipped to the sensor."""
         boxes = [self._live] if self._live is not None else []
         if len(events):
             ys, xs = events["y"], events["x"]
@@ -233,16 +193,14 @@ class SnnGateTracker:
         if not boxes:
             return 0, 0, 0, 0
         y0, y1, x0, x1 = zip(*boxes)
-        kh, kw = np.shape(self.config.kernel)
         h, w = self.camera.shape
-        return (max(min(y0) - (kh - 1) // 2, 0), min(max(y1) + kh // 2, h),
-                max(min(x0) - (kw - 1) // 2, 0), min(max(x1) + kw // 2, w))
+        return max(min(y0) - 1, 0), min(max(y1) + 1, h), max(min(x0) - 1, 0), min(max(x1) + 1, w)
 
     def process_bin(self, events: np.ndarray) -> BoundingBox | None:
         """Consume one sensing bin of events; returns the gate's pixel box, if found."""
         region = y0, y1, x0, x1 = self._region(events)
         frame = events_to_frame(events, (y1 - y0, x1 - x0), (y0, x0))
-        _, spikes = lif_step(self.membrane[y0:y1, x0:x1], self.config, frame)
+        _, spikes = lif_step(self.membrane[y0:y1, x0:x1], frame)
         box = None
         if self._live is not None:
             # the region holds the previous one, so every event a spike's

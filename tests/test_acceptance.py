@@ -21,7 +21,7 @@ from gatesim.motor import (
 )
 from gatesim.planner import MinJerkTrajectory, PlannerInput, predict_intercept, sample_arrays
 from gatesim.scene import EventCameraSim, GateState, WorldConfig, annulus_bbox, step_gate
-from gatesim.tracker import LifConfig, lif_step, new_membrane_grid, track_bbox
+from gatesim.tracker import lif_step, track_bbox
 from gatesim.scene import events_to_frame
 
 
@@ -177,7 +177,7 @@ def test_criterion_6_pgnn_accuracy(coeffs, flight, dataset):
     )
     depths = np.array([s.depth for s in dataset])
     targets = np.array([s.v_star for s in dataset])
-    train_err = float(np.abs(pgnn.mlp_forward(params, depths, "infer") - targets).max())
+    train_err = float(np.abs(pgnn.mlp_forward(params, depths) - targets).max())
 
     held_depths = np.array([2.5, 3.7, 5.3])
     oracle = []
@@ -187,7 +187,7 @@ def test_criterion_6_pgnn_accuracy(coeffs, flight, dataset):
         grid = np.arange(fit.v_lo, fit.v_hi + 5e-4, 1e-3)
         oracle.append(grid[np.argmin(fit.energy(grid))])
     held_err = float(
-        np.abs(pgnn.mlp_forward(params, held_depths, "infer") - np.array(oracle)).max()
+        np.abs(pgnn.mlp_forward(params, held_depths) - np.array(oracle)).max()
     )
     elapsed = time.monotonic() - t0
     ok = train_err <= 0.5 and held_err <= 0.5 and elapsed < 120.0
@@ -289,8 +289,7 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
                       drone_x=depth - 2.0, seed=3)
     cam = cfg.camera()
     sim = EventCameraSim(cfg)
-    lif = LifConfig()
-    membrane = new_membrane_grid(cam.shape)
+    membrane = np.zeros(cam.shape)
     prev_frame = None
     prev_mid = None
     state = cfg.gate()
@@ -300,7 +299,7 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
         events = np.concatenate([sim.step()[2] for _ in range(10)])
         state = sim.gate
         frame = events_to_frame(events, cam.shape)
-        membrane, spikes = lif_step(membrane, lif, frame)
+        membrane, spikes = lif_step(membrane, frame)
         if prev_frame is not None and prev_mid is not None:
             box = track_bbox(spikes, prev_frame)
             truth = annulus_bbox(cam, prev_mid)

@@ -33,14 +33,14 @@ def toy_samples():
 class TestForward:
     def test_infer_mode_deterministic(self):
         params = init_params(0)
-        a = mlp_forward(params, 4.0, "infer")
-        b = mlp_forward(params, 4.0, "infer")
+        a = mlp_forward(params, 4.0)
+        b = mlp_forward(params, 4.0)
         assert a == b
 
     def test_output_clamped(self):
         params = init_params(0)
         depths = np.array([0.01, 0.5, 2.0, 6.0, 50.0, 1000.0])
-        out = mlp_forward(params, depths, "infer")
+        out = mlp_forward(params, depths)
         assert np.all(out >= V_MIN) and np.all(out <= V_MAX)
 
     def test_nonpositive_depth(self):
@@ -124,7 +124,7 @@ class TestLoss:
     def test_zero_lambda_reduces_to_mse(self):
         params = init_params(1)
         batch = training_batch(toy_samples())
-        preds = mlp_forward(params, batch[0], "train")
+        preds = pgnn._forward(params, batch[0], "train")[0]
         mse = float(np.mean((np.array([2.0, 3.0]) - preds) ** 2))
         assert pgnn_loss_grads(params, batch, 0.0)[0] == pytest.approx(mse, rel=1e-12)
 
@@ -140,7 +140,7 @@ class TestLoss:
         l1 = pgnn_loss_grads(params, batch, 0.01)[0]
         l2 = pgnn_loss_grads(params, batch, 0.07)[0]
         _, phys, _ = loss_terms(
-            mlp_forward(params, np.array([3.0, 4.0]), "train"), batch, 0.0
+            pgnn._forward(params, np.array([3.0, 4.0]), "train")[0], batch, 0.0
         )
         assert l2 - l1 == pytest.approx((0.07 - 0.01) * phys, rel=1e-9)
 
@@ -155,7 +155,7 @@ class TestLoss:
         params = init_params(0)
         batch = training_batch(dataset)
         loss, grads, batch_stats = pgnn_loss_grads(params, batch, 1e-2)
-        terms = loss_terms(mlp_forward(params, batch[0], "train"), batch, 1e-2)
+        terms = loss_terms(pgnn._forward(params, batch[0], "train")[0], batch, 1e-2)
         digest = hashlib.sha256(np.array([loss, *terms]).tobytes())
         for arr in [*grads, *(a for pair in batch_stats for a in pair)]:
             digest.update(arr.tobytes())
@@ -225,7 +225,7 @@ class TestTraining:
         assert history[-1][1] <= 0.25  # final training MSE
         depths = np.array([s.depth for s in dataset])
         targets = np.array([s.v_star for s in dataset])
-        preds = mlp_forward(params, depths, "infer")
+        preds = mlp_forward(params, depths)
         assert np.abs(preds - targets).max() <= 0.5
 
     def test_too_few_samples(self, dataset):

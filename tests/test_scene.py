@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,30 +90,38 @@ class TestStepGate:
 
 class TestProjection:
     def setup_method(self):
-        self.cam = CameraModel(
-            position=(0.0, 0.0, 0.0), forward=(1.0, 0.0, 0.0),
-            right=(0.0, 1.0, 0.0), up=(0.0, 0.0, 1.0),
-        )
+        # at the origin, looking along -x
+        self.cam = CameraModel(position=(0.0, 0.0, 0.0))
 
     def test_optical_axis_maps_to_principal_point(self):
         for depth in (0.5, 1.0, 7.3):
-            px, py = project_to_pixels(self.cam, (depth, 0.0, 0.0))
+            px, py = project_to_pixels(self.cam, (-depth, 0.0, 0.0))
             assert (px, py) == (pytest.approx(320.0), pytest.approx(240.0))
 
     def test_lateral_offset(self):
         # 0.5 m lateral at 1 m depth with focal 500 px: 320 + 500 * 0.5 = 570
-        px, py = project_to_pixels(self.cam, (1.0, 0.5, 0.0))
+        px, py = project_to_pixels(self.cam, (-1.0, 0.5, 0.0))
         assert px == pytest.approx(570.0)
         assert py == pytest.approx(240.0)
+
+    def test_up_maps_to_lower_rows(self):
+        # 0.2 m up at 2 m depth: 240 - 500 * 0.2 / 2 = 190
+        px, py = project_to_pixels(self.cam, (-2.0, 0.0, 0.2))
+        assert px == pytest.approx(320.0)
+        assert py == pytest.approx(190.0)
+
+    def test_position_is_the_only_field(self):
+        assert [f.name for f in fields(CameraModel)] == ["position"]
+        assert CameraModel().shape == (480, 640) == (CameraModel.height, CameraModel.width)
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError, match="point depth .* is not positive"):
             project_to_pixels(self.cam, (0.0, 0.5, 0.0))
         with pytest.raises(ValueError, match="point depth .* is not positive"):
-            project_to_pixels(self.cam, (-1.0, 0.0, 0.0))
+            project_to_pixels(self.cam, (1.0, 0.0, 0.0))
 
     def test_result_may_leave_sensor(self):
-        px, _ = project_to_pixels(self.cam, (1.0, 5.0, 0.0))
+        px, _ = project_to_pixels(self.cam, (-1.0, 5.0, 0.0))
         assert px > 640  # caller clips
 
 
