@@ -209,20 +209,20 @@ def annulus_bbox(
             int(pixels[0] // camera.width), int(pixels[-1] // camera.width))
 
 
-def events_to_frame(
-    events: np.ndarray, shape: tuple[int, int], origin: tuple[int, int] = (0, 0)
-) -> np.ndarray:
-    """Per-pixel event counts (both polarities) as an int32 frame.
+def events_to_frame(events: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A bin's event record: the pixels that saw an event, and each one's count.
 
-    The frame covers ``shape`` pixels of the sensor from ``origin`` (row,
-    column); an event outside it raises ValueError.
+    Returns ``(pixels, counts)``: the flat indices (row * width + column)
+    into a frame of ``shape`` pixels that saw an event, sorted and unique,
+    and their event counts over both polarities.  An event outside the frame
+    raises ValueError.  The name is kept from the dense count frame this
+    once built, because profilers look the stage up by it.
     """
     h, w = shape
-    ys = events["y"] - origin[0]
-    xs = events["x"] - origin[1]
+    ys, xs = events["y"], events["x"]
     if len(events) and (ys.min() < 0 or ys.max() >= h or xs.min() < 0 or xs.max() >= w):
-        raise ValueError(f"events fall outside the {h}x{w} frame at {origin}")
-    return np.bincount(ys * w + xs, minlength=h * w).astype(np.int32).reshape(shape)
+        raise ValueError(f"events fall outside the {h}x{w} frame")
+    return np.unique(ys * w + xs, return_counts=True)
 
 
 def write_events_csv(events: np.ndarray, path) -> None:

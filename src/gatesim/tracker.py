@@ -8,10 +8,11 @@ recovered around spiking neurons localizes the moving gate in pixels; the
 harness back-projects the box center's column at a depth reading
 (``pixel_to_world_y``) and records the fix as a ``GateTrack``.
 
-``lif_step`` updates the membrane it is given in place; the tracker hands it
-a crop of its full-sensor membrane.  Its work follows the events: the kernel
-drive is scattered from the bin's event pixels, so its cost grows with the
-pixels that saw an event, not with the area of the crop.
+A bin reaches the layer as one sparse record from ``events_to_frame``: its
+event pixels as sorted, unique flat indices, and their counts.  ``lif_step``
+updates, in place, the crop of the full-sensor membrane the tracker hands it;
+its kernel drive is scattered from the record, so its cost follows the pixels
+that saw an event, not the crop's area, with the bits of a dense correlation.
 """
 
 from __future__ import annotations
@@ -31,24 +32,50 @@ KERNEL = np.full((3, 3), 0.15)
 KERNEL.flags.writeable = False
 
 
-def _drive(frame: np.ndarray) -> np.ndarray:
-    """KERNEL's correlation with ``frame``, zero outside it, scattered from the event pixels.
+def lif_step(grid: np.ndarray, pixels: np.ndarray,
+             counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LIF update in place: U <- LEAK * U + KERNEL (x) frame; spike and reset at THRESHOLD.
 
-    A source at least one pixel inside the frame drives only pixels of the
-    frame, so each tap shifts it by one flat offset; the few sources on the
-    border drop the targets that fall outside.
+    ``grid`` must be a writable float64 array.  ``frame`` is the bin's count
+    frame over the grid, zero outside it, given as ``events_to_frame``'s
+    record: ``pixels``, strictly increasing flat indices (row * width +
+    column) into the grid, and their ``counts``.  No frame is built.
+
+    The drive ``KERNEL (x) frame`` is scattered from the record, one kernel
+    tap at a time in row-major order, into a zeroed accumulator: each tap
+    adds ``float(count) * weight`` to the pixel its source drives.  This has
+    the bits of ``scipy.ndimage.correlate`` (``mode="constant"``), which sums
+    the same products over the taps in the same order from 0.0.  A zero
+    count adds +0.0, which changes no nonnegative sum; and the pixels are
+    unique, so within one tap every target is distinct and sees the same
+    additions in the same order.
+
+    Returns ``(grid, spikes)``: ``grid`` itself, updated, and a boolean spike
+    frame.  The record is not written.  Every check runs before the first
+    write, so a call that raises leaves ``grid`` as it was: pixels that are
+    not strictly increasing integer indices into the grid, counts of another
+    shape, or a negative or NaN count raise ValueError, and a grid of another
+    type or dtype, or a read-only one, TypeError.
     """
-    h, w = frame.shape
-    # allocated before the small temporaries below, so that a free block of
-    # exactly its size (the int64 counts events_to_frame has just freed) can
-    # hold it whole, rather than the heap growing by a frame in many bins
-    drive = np.zeros(frame.shape)
-    src = np.flatnonzero(frame > 0)
-    counts = frame.take(src).astype(np.float64)
-    ys, xs = np.divmod(src, w)
+    if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.flags.writeable):
+        raise TypeError("grid must be a writable float64 array")
+    pixels, counts = np.asarray(pixels), np.asarray(counts)
+    h, w = grid.shape
+    if pixels.ndim != 1 or pixels.shape != counts.shape:
+        raise ValueError(f"pixels {pixels.shape} vs counts {counts.shape}")
+    if pixels.dtype.kind not in "iu" or len(pixels) and not (
+            pixels[0] >= 0 and pixels[-1] < h * w and (pixels[1:] > pixels[:-1]).all()):
+        raise ValueError(f"pixels must be strictly increasing flat indices into the {h}x{w} grid")
+    if not (counts >= 0).all():
+        raise ValueError("event counts must be nonnegative")
+    drive = np.zeros(grid.shape)
+    counts = counts.astype(np.float64)
+    ys, xs = np.divmod(pixels, w)
+    # a source at least one pixel inside the grid drives only grid pixels, so each
+    # tap shifts it by one flat offset; border sources drop the targets outside it
     inner = (ys >= 1) & (ys < h - 1) & (xs >= 1) & (xs < w - 1)
     edge_ys, edge_xs, edge_counts = ys[~inner], xs[~inner], counts[~inner]
-    src, counts = src[inner], counts[inner]
+    src, counts = pixels[inner], counts[inner]
     flat = drive.ravel()
     for (dy, dx), weight in np.ndenumerate(KERNEL):
         dy, dx = dy - 1, dx - 1
@@ -57,38 +84,6 @@ def _drive(frame: np.ndarray) -> np.ndarray:
             ty, tx = edge_ys - dy, edge_xs - dx
             keep = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
             np.add.at(flat, (ty * w + tx)[keep], edge_counts[keep] * weight)
-    return drive
-
-
-def lif_step(grid: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One LIF update in place: U <- LEAK * U + KERNEL (x) frame; spike and reset at THRESHOLD.
-
-    ``grid`` must be a writable float64 array; ``frame`` holds per-pixel event
-    counts for the time bin (zero-padded borders for the neighborhood sum).
-
-    The drive ``KERNEL (x) frame`` is scattered from the frame's nonzero
-    pixels, one kernel tap at a time in row-major order, into a zeroed
-    accumulator: each tap adds ``float(count) * weight`` to the pixel its
-    source drives.  This has the bits of ``scipy.ndimage.correlate``
-    (``mode="constant"``), which sums the same products over the taps in the
-    same order from 0.0.  A zero count adds +0.0, which changes no
-    nonnegative sum; and within one tap every target is distinct, so each
-    target sees the same additions in the same order.
-
-    Returns ``(grid, spikes)``: ``grid`` itself, updated, and a boolean spike
-    frame.  ``frame`` is not written.  Every check runs before the first
-    write, so a call that raises leaves ``grid`` as it was: a shape mismatch
-    or a negative or NaN count raises ValueError, and a grid of another type
-    or dtype, or a read-only one, TypeError.
-    """
-    if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.flags.writeable):
-        raise TypeError("grid must be a writable float64 array")
-    frame = np.asarray(frame)
-    if frame.shape != grid.shape:
-        raise ValueError(f"frame {frame.shape} vs grid {grid.shape}")
-    if not (frame >= 0).all():
-        raise ValueError("event counts must be nonnegative")
-    drive = _drive(frame)
     grid *= LEAK
     grid += drive
     spikes = grid >= THRESHOLD
@@ -116,27 +111,32 @@ class BoundingBox:
 _NEIGHBOUR_DY, _NEIGHBOUR_DX = np.mgrid[-1:2, -1:2].reshape(2, 9)
 
 
-def track_bbox(spikes: np.ndarray, prev_frame: np.ndarray) -> BoundingBox | None:
+def track_bbox(spikes: np.ndarray, prev_pixels: np.ndarray) -> BoundingBox | None:
     """Box over the previous bin's events recovered around spiking neurons.
 
-    Event pixels within the 3x3 neighborhood of any spiking neuron are
-    recovered (one-bin delay); returns None when nothing spiked or no events
-    fall in the spiking neighborhoods.  Only the spikes' neighbours are read:
-    clipping an off-frame neighbour to the frame lands on the pixel beside
-    it, itself a neighbour, so the recovered set is that of a 3x3 maximum
-    filter of the spikes masked by the events.
+    ``prev_pixels`` are the previous bin's event pixels as flat indices into
+    the spike frame, as ``events_to_frame`` records them; one outside the
+    frame raises ValueError.  Event pixels within the 3x3 neighborhood of
+    any spiking neuron are recovered (one-bin delay); returns None when
+    nothing spiked or no events fall in the spiking neighborhoods.  Only the
+    spikes' neighbours are read: clipping an off-frame neighbour to the frame
+    lands on the pixel beside it, itself a neighbour, so the recovered set is
+    that of a 3x3 maximum filter of the spikes masked by the events.
     """
     spikes = np.asarray(spikes, dtype=bool)
-    prev_frame = np.asarray(prev_frame)
-    if spikes.shape != prev_frame.shape:
-        raise ValueError(f"spikes {spikes.shape} vs events {prev_frame.shape}")
+    prev_pixels = np.asarray(prev_pixels)
     h, w = spikes.shape
+    if prev_pixels.dtype.kind not in "iu" or len(prev_pixels) and not (
+            prev_pixels.min() >= 0 and prev_pixels.max() < h * w):
+        raise ValueError(f"previous event pixels must be flat indices into the {h}x{w} frame")
     ys, xs = np.divmod(np.flatnonzero(spikes), w)
     if not len(ys):
         return None
+    seen = np.zeros(h * w, dtype=bool)
+    seen[prev_pixels] = True
     ys = np.clip(ys[:, None] + _NEIGHBOUR_DY, 0, h - 1)
     xs = np.clip(xs[:, None] + _NEIGHBOUR_DX, 0, w - 1)
-    recovered = prev_frame[ys, xs] > 0
+    recovered = seen[ys * w + xs]
     if not recovered.any():
         return None
     ys, xs = ys[recovered], xs[recovered]
@@ -165,8 +165,8 @@ class SnnGateTracker:
     """Stateful per-bin spiking layer for one event stream.
 
     Bins must be processed in order: each call integrates the bin's event
-    counts into the LIF layer and recovers the box from the previous bin's
-    events.
+    record into the LIF layer and recovers the box from the previous bin's
+    event pixels, which it keeps in sensor coordinates.
 
     Each bin updates only a region of the grid: the *live box*, which holds
     every nonzero potential, joined with the bin's events and widened by the
@@ -178,18 +178,17 @@ class SnnGateTracker:
     def __init__(self, camera: CameraModel):
         self.camera = camera
         self.membrane = np.zeros(camera.shape)
-        # (y0, y1, x0, x1), half-open: the previous bin's region, which holds
-        # every nonzero potential, and its event pixels; None before any
+        # (y0, y1, x0, x1), half-open: the previous bin's region, which holds every
+        # nonzero potential, and its event pixels' sensor rows and columns; None before any
         self._live: tuple[int, int, int, int] | None = None
-        self._live_events: np.ndarray | None = None
+        self._live_pixels: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _region(self, events: np.ndarray):
-        """This bin's update box: the live box and the events, widened by the
-        kernel's one-pixel reach and clipped to the sensor."""
+    def _region(self, ys: np.ndarray, xs: np.ndarray):
+        """This bin's update box: the live box and the event pixels (sorted rows ``ys``,
+        columns ``xs``), widened by the kernel's one-pixel reach and clipped to the sensor."""
         boxes = [self._live] if self._live is not None else []
-        if len(events):
-            ys, xs = events["y"], events["x"]
-            boxes.append((int(ys.min()), int(ys.max()) + 1, int(xs.min()), int(xs.max()) + 1))
+        if len(ys):
+            boxes.append((int(ys[0]), int(ys[-1]) + 1, int(xs.min()), int(xs.max()) + 1))
         if not boxes:
             return 0, 0, 0, 0
         y0, y1, x0, x1 = zip(*boxes)
@@ -198,24 +197,22 @@ class SnnGateTracker:
 
     def process_bin(self, events: np.ndarray) -> BoundingBox | None:
         """Consume one sensing bin of events; returns the gate's pixel box, if found."""
-        region = y0, y1, x0, x1 = self._region(events)
-        frame = events_to_frame(events, (y1 - y0, x1 - x0), (y0, x0))
-        _, spikes = lif_step(self.membrane[y0:y1, x0:x1], frame)
+        pixels, counts = events_to_frame(events, self.camera.shape)
+        ys, xs = np.divmod(pixels, self.camera.width)
+        region = y0, y1, x0, x1 = self._region(ys, xs)
+        w = x1 - x0
+        _, spikes = lif_step(self.membrane[y0:y1, x0:x1], (ys - y0) * w + xs - x0, counts)
         box = None
         if self._live is not None:
             # the region holds the previous one, so every event a spike's
             # neighbourhood can recover lies on this crop
-            prev = self._live_events
-            if self._live != region:
-                prev = np.zeros(frame.shape, dtype=bool)
-                py0, py1, px0, px1 = self._live
-                prev[py0 - y0:py1 - y0, px0 - x0:px1 - x0] = self._live_events
-            found = track_bbox(spikes, prev)
+            prev_ys, prev_xs = self._live_pixels
+            found = track_bbox(spikes, (prev_ys - y0) * w + prev_xs - x0)
             if found is not None:
                 box = BoundingBox(found.x_min + x0, found.x_max + x0,
                                   found.y_min + y0, found.y_max + y0)
         if y0 < y1:  # else no events and nothing live: no state to keep
-            self._live, self._live_events = region, frame > 0
+            self._live, self._live_pixels = region, (ys, xs)
         return box
 
 

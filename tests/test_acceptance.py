@@ -290,7 +290,7 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
     cam = cfg.camera()
     sim = EventCameraSim(cfg)
     membrane = np.zeros(cam.shape)
-    prev_frame = None
+    prev_pixels = None
     prev_mid = None
     state = cfg.gate()
     ious = []
@@ -298,16 +298,16 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
         mid_state = step_gate(state, cfg.sensing_dt / 2)
         events = np.concatenate([sim.step()[2] for _ in range(10)])
         state = sim.gate
-        frame = events_to_frame(events, cam.shape)
-        membrane, spikes = lif_step(membrane, frame)
-        if prev_frame is not None and prev_mid is not None:
-            box = track_bbox(spikes, prev_frame)
+        pixels, counts = events_to_frame(events, cam.shape)
+        membrane, spikes = lif_step(membrane, pixels, counts)
+        if prev_pixels is not None and prev_mid is not None:
+            box = track_bbox(spikes, prev_pixels)
             truth = annulus_bbox(cam, prev_mid)
             if box is not None and truth is not None:
                 ious.append(
                     box_iou((box.x_min, box.x_max, box.y_min, box.y_max), truth)
                 )
-        prev_frame = frame
+        prev_pixels = pixels
         prev_mid = mid_state
     return float(np.mean(ious)) if ious else 0.0
 

@@ -184,17 +184,40 @@ class TestEventGeneration:
 
     def test_event_frame_counts(self):
         _, _, events = EventCameraSim(self.cfg).step()
-        frame = events_to_frame(events, self.cam.shape)
-        assert frame.sum() == len(events)
-        assert frame.max() == 1  # one coverage flip per pixel per frame pair
+        _, counts = events_to_frame(events, self.cam.shape)
+        assert counts.sum() == len(events)
+        assert counts.max() == 1  # one coverage flip per pixel per frame pair
 
 
-def test_event_frame_is_int32():
-    # half the bytes of bincount's int64 frame: the tracker keeps and
-    # re-embeds the previous bin's frame, and int64 frames made event
-    # episodes slower and larger (BENCH_21.json)
-    events = EventCameraSim(WorldConfig(gate_y0=0.0, gate_speed=1.0)).step(10)[2]
-    assert events_to_frame(events, (480, 640)).dtype == np.int32
+def _check_event_record(events, shape):
+    """events_to_frame's record against a dense np.bincount over the frame."""
+    pixels, counts = events_to_frame(events, shape)
+    dense = np.bincount(events["y"] * shape[1] + events["x"], minlength=shape[0] * shape[1])
+    assert (pixels[1:] > pixels[:-1]).all()  # sorted and unique
+    np.testing.assert_array_equal(pixels, np.flatnonzero(dense))
+    np.testing.assert_array_equal(counts, dense[pixels])
+    assert counts.sum() == len(events)
+
+
+def test_event_record_matches_dense_bincount(oracle_world):
+    sim = EventCameraSim(oracle_world)
+    for _ in range(4):
+        _check_event_record(sim.step(10)[2], CameraModel.shape)
+
+
+def test_event_record_of_a_hand_built_bin():
+    # repeated pixels, the sensor's first and last pixels, and no events
+    events = np.zeros(8, dtype=EVENT_DTYPE)
+    events["y"] = [479, 0, 5, 479, 5, 0, 5, 5]
+    events["x"] = [639, 0, 9, 639, 10, 0, 9, 9]
+    events["p"] = [1, -1, 1, -1, -1, 1, 1, -1]
+    _check_event_record(events, (480, 640))
+    pixels, counts = events_to_frame(events, (480, 640))
+    assert pixels.tolist() == [0, 5 * 640 + 9, 5 * 640 + 10, 480 * 640 - 1]
+    assert counts.tolist() == [2, 3, 1, 2]
+    _check_event_record(events[:0], (480, 640))
+    with pytest.raises(ValueError, match="outside the 479x640 frame"):
+        events_to_frame(events, (479, 640))
 
 
 class TestAnnulus:

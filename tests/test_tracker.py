@@ -9,7 +9,6 @@ from scipy import ndimage
 
 from gatesim import tracker as tracker_mod
 from gatesim.scene import (
-    EVENT_DTYPE,
     CameraModel,
     EventCameraSim,
     WorldConfig,
@@ -30,11 +29,32 @@ from gatesim.tracker import (
 )
 
 
+def _record(frame):
+    """A dense count frame as lif_step's record: its nonzero pixels and their counts."""
+    frame = np.asarray(frame)
+    pixels = np.flatnonzero(frame)
+    return pixels, frame.ravel()[pixels]
+
+
+def _dense(pixels, counts, shape):
+    """The dense count frame a record stands for."""
+    frame = np.zeros(shape, dtype=np.asarray(counts).dtype)
+    frame.flat[pixels] = counts
+    return frame
+
+
+def _count_frame(events, shape):
+    """A bin's dense event-count frame, built with np.add.at."""
+    frame = np.zeros(shape, dtype=np.int64)
+    np.add.at(frame, (events["y"], events["x"]), 1)
+    return frame
+
+
 class TestLifStep:
     def test_quiescence(self):
         grid = np.zeros((8, 8))
         frame = np.zeros((8, 8), dtype=np.int32)
-        membrane, spikes = lif_step(grid, frame)
+        membrane, spikes = lif_step(grid, *_record(frame))
         assert not membrane.any()
         assert not spikes.any()
 
@@ -43,7 +63,7 @@ class TestLifStep:
         grid = np.zeros((9, 9))
         frame = np.zeros((9, 9), dtype=np.int32)
         frame[4, 4] = 20
-        membrane, spikes = lif_step(grid, frame)
+        membrane, spikes = lif_step(grid, *_record(frame))
         assert spikes[4, 4]
         assert spikes[3:6, 3:6].all()
         assert membrane[spikes].max() == 0.0  # reset to zero
@@ -54,7 +74,7 @@ class TestLifStep:
         grid = np.zeros((16, 16))
         frame = np.ones((16, 16), dtype=np.int32)
         for _ in range(200):
-            grid, spikes = lif_step(grid, frame)
+            grid, spikes = lif_step(grid, *_record(frame))
             assert not spikes.any()
         assert grid.max() == pytest.approx(1.5, abs=1e-9)
         assert grid.max() < THRESHOLD
@@ -64,7 +84,7 @@ class TestLifStep:
         grid[2, 2] = 1.0
         zero = np.zeros((4, 4), dtype=np.int32)
         for t in range(1, 6):
-            grid, spikes = lif_step(grid, zero)
+            grid, spikes = lif_step(grid, *_record(zero))
             assert not spikes.any()
             assert grid[2, 2] == pytest.approx(LEAK**t, rel=1e-12)
 
@@ -73,27 +93,27 @@ class TestLifStep:
         small = rng.integers(0, 3, (20, 20)).astype(np.int32)
         big = small + rng.integers(0, 3, (20, 20)).astype(np.int32)
         grid = rng.uniform(0, 1, (20, 20))
-        m_small, s_small = lif_step(grid.copy(), small)
-        m_big, s_big = lif_step(grid.copy(), big)
+        m_small, s_small = lif_step(grid.copy(), *_record(small))
+        m_big, s_big = lif_step(grid.copy(), *_record(big))
         # spiking resets to zero, so compare pre-reset drive via spike sets
         assert np.all(s_big | ~s_small)  # spike set is a superset
         assert np.all(m_big[~s_big] >= m_small[~s_big] - 1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match=r"frame \(5, 4\) vs grid \(4, 4\)"):
-            lif_step(np.zeros((4, 4)), np.zeros((5, 4)))
+        with pytest.raises(ValueError, match=r"pixels \(3,\) vs counts \(2,\)"):
+            lif_step(np.zeros((4, 4)), np.arange(3), np.ones(2))
 
     def test_negative_counts_rejected(self):
         frame = np.zeros((4, 4), dtype=np.int32)
         frame[0, 0] = -1
         with pytest.raises(ValueError):
-            lif_step(np.zeros((4, 4)), frame)
+            lif_step(np.zeros((4, 4)), *_record(frame))
 
     def test_nan_counts_rejected(self):
         frame = np.zeros((4, 4))
         frame[2, 1] = np.nan
         with pytest.raises(ValueError):
-            lif_step(np.zeros((4, 4)), frame)
+            lif_step(np.zeros((4, 4)), *_record(frame))
 
     def test_strided_crop_is_updated_in_place(self):
         # a strided crop of a larger grid: only the crop's own elements of
@@ -107,27 +127,34 @@ class TestLifStep:
         frame[3, 2] = 20
         before = backing.copy()
         want_membrane, want_spikes = _lif_step_reference(grid, frame)
-        membrane, spikes = lif_step(grid, frame)
+        membrane, spikes = lif_step(grid, *_record(frame))
         assert membrane is grid
         assert backing[inside].tobytes() == want_membrane.tobytes()
         assert backing[~inside].tobytes() == before[~inside].tobytes()
         assert spikes.tobytes() == want_spikes.tobytes() and spikes.any()
 
-    @pytest.mark.parametrize("bad", ["shape", "negative", "nan"])
+    # (pixels, counts, message) of a record rejected on a 6x7 grid
+    REJECTED = {
+        "shape": ([3, 10, 41], [20, 20], r"pixels \(3,\) vs counts \(2,\)"),
+        "negative": ([3, 10, 41], [20, -1, 20], "event counts must be nonnegative"),
+        "nan": ([3, 10, 41], [20, np.nan, 20], "event counts must be nonnegative"),
+        "unsorted": ([3, 41, 10], [20, 20, 20], "strictly increasing"),
+        "duplicate": ([3, 10, 10], [20, 20, 20], "strictly increasing"),
+        "negative-pixel": ([-1, 10, 41], [20, 20, 20], "strictly increasing"),
+        "past-the-end": ([3, 10, 42], [20, 20, 20], "strictly increasing"),
+        "float-pixels": ([3.0, 10.0, 41.0], [20, 20, 20], "strictly increasing"),
+    }
+
+    @pytest.mark.parametrize("bad", list(REJECTED))
     def test_rejected_call_leaves_grid_untouched(self, bad):
         # every check runs before the first write; the valid call after it
         # shows that the same grid is otherwise updated in place
         rng = np.random.default_rng(9)
         grid = rng.uniform(0.0, 2.5, (6, 7))
-        frame = np.full(grid.shape, 20.0)
-        if bad == "shape":
-            frame = frame[:, :-1]
-        else:
-            frame[4, 5] = -1.0 if bad == "negative" else np.nan
+        pixels, counts, match = self.REJECTED[bad]
         before = grid.copy()
-        match = "vs grid" if bad == "shape" else "event counts must be nonnegative"
         with pytest.raises(ValueError, match=match):
-            lif_step(grid, frame)
+            lif_step(grid, np.array(pixels), np.array(counts, dtype=np.float64))
         assert grid.tobytes() == before.tobytes()
         _lif_step_checked(grid, np.full(grid.shape, 20.0))
 
@@ -140,7 +167,7 @@ class TestLifStep:
     ], ids=["int64", "float32", "big-endian", "list", "read-only"])
     def test_grid_must_be_a_writable_float64_array(self, grid):
         with pytest.raises(TypeError):
-            lif_step(grid, np.ones((4, 4), dtype=np.int32))
+            lif_step(grid, *_record(np.ones((4, 4), dtype=np.int32)))
 
 
 class TestBoundingBox:
@@ -162,7 +189,7 @@ class TestBoundingBox:
     def test_no_spikes_returns_none(self):
         spikes = np.zeros((10, 10), dtype=bool)
         prev = np.ones((10, 10), dtype=np.int32)
-        assert track_bbox(spikes, prev) is None
+        assert track_bbox(spikes, np.flatnonzero(prev)) is None
 
     def test_recovered_extent(self):
         spikes = np.zeros((200, 200), dtype=bool)
@@ -172,7 +199,7 @@ class TestBoundingBox:
         prev[99, 99] = 1    # inside the 3x3 of (100,100)
         prev[131, 181] = 2  # inside the 3x3 of (130,180)
         prev[5, 5] = 7      # far away: must be ignored
-        box = track_bbox(spikes, prev)
+        box = track_bbox(spikes, np.flatnonzero(prev))
         assert (box.x_min, box.x_max, box.y_min, box.y_max) == (99, 181, 99, 131)
 
     def test_degenerate_single_pixel(self):
@@ -180,7 +207,7 @@ class TestBoundingBox:
         spikes[5, 5] = True
         prev = np.zeros((10, 10), dtype=np.int32)
         prev[5, 5] = 3
-        box = track_bbox(spikes, prev)
+        box = track_bbox(spikes, np.flatnonzero(prev))
         assert box.x_min == box.x_max == box.center[0] == 5
         assert box.y_min == box.y_max == box.center[1] == 5
 
@@ -194,7 +221,16 @@ class TestBoundingBox:
         spikes[5, 5] = True
         prev = np.zeros((10, 10), dtype=np.int32)
         prev[0, 0] = 1
-        assert track_bbox(spikes, prev) is None
+        assert track_bbox(spikes, np.flatnonzero(prev)) is None
+
+    @pytest.mark.parametrize("prev_pixels", [[-1], [3, 100], [5.0]],
+                             ids=["negative", "past-the-end", "float"])
+    def test_previous_pixels_outside_the_frame_rejected(self, prev_pixels):
+        # a ValueError before any lookup, not an IndexError from one
+        spikes = np.zeros((10, 10), dtype=bool)
+        spikes[5, 5] = True
+        with pytest.raises(ValueError, match="flat indices into the 10x10 frame"):
+            track_bbox(spikes, np.array(prev_pixels))
 
 
 class TestBackProjection:
@@ -269,15 +305,13 @@ class TestTrackerPipeline:
             frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
             traversal = 1.2 / speed  # -L to +L once
             total = 0
-            from gatesim.scene import events_to_frame
-            from gatesim.tracker import lif_step
 
             for _ in range(int(np.ceil(traversal / cfg.sensing_dt))):
                 events = np.concatenate(
                     [sim.step()[2] for _ in range(frames_per_bin)]
                 )
-                frame = events_to_frame(events, cam.shape)
-                tracker.membrane, spikes = lif_step(tracker.membrane, frame)
+                tracker.membrane, spikes = lif_step(
+                    tracker.membrane, *events_to_frame(events, cam.shape))
                 total += int(spikes.sum())
             return total
 
@@ -300,8 +334,9 @@ def test_track_csv_format(tmp_path):
 
 
 class _DenseTracker(SnnGateTracker):
-    """The full-grid pipeline: np.add.at event counts, then lif_step and
-    track_bbox over the whole sensor; records each bin's spike count."""
+    """The full-grid pipeline: np.add.at event counts, then the scipy.ndimage
+    references of lif_step and track_bbox over the whole sensor; records each
+    bin's spike count."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -309,13 +344,12 @@ class _DenseTracker(SnnGateTracker):
         self.spike_counts = []
 
     def process_bin(self, events):
-        frame = np.zeros(self.camera.shape, dtype=np.int32)
-        np.add.at(frame, (events["y"], events["x"]), 1)
-        self.membrane, spikes = lif_step(self.membrane, frame)
+        frame = _count_frame(events, self.camera.shape)
+        self.membrane, spikes = _lif_step_reference(self.membrane, frame)
         self.spike_counts.append(int(spikes.sum()))
         box = None
         if self.prev_frame is not None:
-            box = track_bbox(spikes, self.prev_frame)
+            box = _track_bbox_reference(spikes, self.prev_frame)
         self.prev_frame = frame
         return box
 
@@ -323,8 +357,8 @@ class _DenseTracker(SnnGateTracker):
 def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
     spike_counts = []
 
-    def counting_lif_step(grid, frame):
-        membrane, spikes = lif_step(grid, frame)
+    def counting_lif_step(grid, pixels, counts):
+        membrane, spikes = lif_step(grid, pixels, counts)
         spike_counts.append(int(spikes.sum()))
         return membrane, spikes
 
@@ -349,9 +383,7 @@ def test_region_is_one_event_widened_by_one_pixel(y, x, want):
     # the 3x3 kernel drives rows y - 1 .. y + 1, and likewise columns; the
     # region is that box, half-open and clipped to the sensor
     tracker = SnnGateTracker(WorldConfig().camera())
-    events = np.zeros(1, dtype=EVENT_DTYPE)
-    events["y"], events["x"] = y, x
-    assert tracker._region(events) == want
+    assert tracker._region(np.array([y]), np.array([x])) == want
 
 
 def test_full_sensor_bin_peaks_below_two_float64_frames():
@@ -377,6 +409,27 @@ def test_full_sensor_bin_peaks_below_two_float64_frames():
     assert peak < 2 * h * w * np.dtype(np.float64).itemsize
 
 
+def test_full_sensor_bin_peaks_below_one_and_a_half_float64_frames():
+    # the same bin as above: its event record, the drive and the spike and
+    # recovery masks must stay under 1.5 float64 sensor frames; a dense
+    # int64 count frame beside the drive would exceed it
+    cfg = WorldConfig(drone_x=2.0, spurious_rate=1e5, seed=11)
+    sim = EventCameraSim(cfg)
+    tracker = SnnGateTracker(cfg.camera())
+    frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
+    tracker.process_bin(sim.step(frames_per_bin)[2])
+    events = sim.step(frames_per_bin)[2]
+    tracemalloc.start()
+    try:
+        tracker.process_bin(events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    h, w = cfg.camera().shape
+    assert tracker._live == (0, h, 0, w)
+    assert peak < 1.5 * h * w * np.dtype(np.float64).itemsize
+
+
 def _lif_step_reference(grid, frame):
     """lif_step as first written: a float copy of the counts, the kernel sum,
     LEAK * grid + drive, then the reset through np.where."""
@@ -399,28 +452,33 @@ def _track_bbox_reference(spikes, prev_frame):
 
 
 def _lif_step_checked(grid, frame):
-    """lif_step, asserting its bytes against the reference, that it updates
-    ``grid`` in place and that it does not write ``frame``."""
-    frame_before = frame.copy()
+    """lif_step on the record of the dense ``frame``, asserting its bytes
+    against the reference on ``frame``, that it updates ``grid`` in place and
+    that it does not write the record."""
+    pixels, counts = _record(frame)
+    pixels_before, counts_before = pixels.copy(), counts.copy()
     want_membrane, want_spikes = _lif_step_reference(grid, frame)
-    membrane, spikes = lif_step(grid, frame)
+    membrane, spikes = lif_step(grid, pixels, counts)
     assert membrane.dtype == np.float64 and spikes.dtype == bool
     assert membrane.shape == spikes.shape == grid.shape
     assert membrane.tobytes() == want_membrane.tobytes()
     assert spikes.tobytes() == want_spikes.tobytes()
     assert membrane is grid
-    assert frame.dtype == frame_before.dtype and frame.tobytes() == frame_before.tobytes()
+    assert pixels.tobytes() == pixels_before.tobytes()
+    assert counts.dtype == counts_before.dtype and counts.tobytes() == counts_before.tobytes()
     return membrane, spikes
 
 
 def _track_bbox_checked(spikes, prev_frame):
-    """track_bbox, asserting its box against the reference and that it writes
+    """track_bbox on the event pixels of the dense ``prev_frame``, asserting
+    its box against the reference on ``prev_frame`` and that it writes
     neither of its inputs."""
-    spikes_before, prev_before = spikes.copy(), prev_frame.copy()
-    box = track_bbox(spikes, prev_frame)
+    prev_pixels = np.flatnonzero(np.asarray(prev_frame) > 0)
+    spikes_before, pixels_before = spikes.copy(), prev_pixels.copy()
+    box = track_bbox(spikes, prev_pixels)
     assert box == _track_bbox_reference(spikes, prev_frame)
     assert spikes.tobytes() == spikes_before.tobytes()
-    assert prev_frame.tobytes() == prev_before.tobytes()
+    assert prev_pixels.tobytes() == pixels_before.tobytes()
     return box
 
 
@@ -523,8 +581,14 @@ def test_lif_step_and_track_bbox_match_reference_on_world_bins(oracle_world, mon
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(tracker_mod, "lif_step", counted("lif_step", _lif_step_checked))
-    monkeypatch.setattr(tracker_mod, "track_bbox", counted("track_bbox", _track_bbox_checked))
+    def lif_step_on_record(grid, pixels, counts):
+        return _lif_step_checked(grid, _dense(pixels, counts, grid.shape))
+
+    def track_bbox_on_record(spikes, prev_pixels):
+        return _track_bbox_checked(spikes, _dense(prev_pixels, 1, spikes.shape))
+
+    monkeypatch.setattr(tracker_mod, "lif_step", counted("lif_step", lif_step_on_record))
+    monkeypatch.setattr(tracker_mod, "track_bbox", counted("track_bbox", track_bbox_on_record))
     cam = oracle_world.camera()
     sparse = SnnGateTracker(cam)
     grid, prev = np.zeros(cam.shape), None
@@ -532,7 +596,7 @@ def test_lif_step_and_track_bbox_match_reference_on_world_bins(oracle_world, mon
     for _ in range(8):
         events = np.concatenate([sim.step()[2] for _ in range(10)])
         sparse.process_bin(events)
-        frame = events_to_frame(events, cam.shape)
+        frame = _count_frame(events, cam.shape)
         grid, spikes = _lif_step_checked(grid, frame)
         if prev is not None:
             _track_bbox_checked(spikes, prev)
