@@ -45,6 +45,8 @@ class GateState:
             raise ValueError("radius must be positive")
         if not abs(self.y) <= self.bound + 1e-12:
             raise ValueError("gate position outside [-bound, +bound]")
+        if not math.isfinite(self.velocity):
+            raise ValueError(f"velocity must be finite, got {self.velocity}")
 
 
 def step_gate(state: GateState, dt: float) -> GateState:
@@ -327,18 +329,22 @@ class EventCameraSim:
         events["y"], events["x"] = np.divmod(pixels[j], self.camera.width)
         events["p"] = np.where(covered[frame + 1, j], 1, -1)
         if cfg.spurious_rate > 0:
-            parts = np.split(events, np.searchsorted(frame, np.arange(1, frames)))
-            events = np.concatenate([self._add_spurious(e, t) for e, t in zip(parts, times)])
+            # Per frame, the count, columns, rows and polarities are drawn in
+            # that order: the generator's stream is part of the output.
+            rng, w, h = self._rng, self.camera.width, self.camera.height
+            draws = []
+            for _ in times:
+                n = rng.poisson(cfg.spurious_rate * cfg.frame_dt)
+                draws.append((rng.integers(0, w, n), rng.integers(0, h, n), rng.integers(0, 2, n)))
+            # one array for the bin: each frame's ring events, then its spurious ones
+            ring = events
+            events = np.empty(len(ring) + sum(len(d[0]) for d in draws), dtype=EVENT_DTYPE)
+            bounds = np.searchsorted(frame, range(frames + 1)).tolist()
+            shift = 0  # spurious events placed so far
+            for t, start, end, (xs, ys, ps) in zip(times, bounds, bounds[1:], draws):
+                events[start + shift:end + shift] = ring[start:end]
+                shift += len(xs)
+                noise = events[end + shift - len(xs):end + shift]
+                noise["t"], noise["x"], noise["y"] = t, xs, ys
+                noise["p"] = np.where(ps, 1, -1)
         return self.time, self.gate, events
-
-    def _add_spurious(self, events: np.ndarray, t: float) -> np.ndarray:
-        cfg = self.config
-        n = self._rng.poisson(cfg.spurious_rate * cfg.frame_dt)
-        if n == 0:
-            return events
-        noise = np.empty(n, dtype=EVENT_DTYPE)
-        noise["t"] = t
-        noise["x"] = self._rng.integers(0, self.camera.width, n)
-        noise["y"] = self._rng.integers(0, self.camera.height, n)
-        noise["p"] = self._rng.choice(np.array([-1, 1], dtype=np.int8), n)
-        return np.concatenate([events, noise])

@@ -67,6 +67,12 @@ class TestStepGate:
         with pytest.raises(ValueError):
             GateState(**overrides)
 
+    @pytest.mark.parametrize("velocity", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_velocity_rejected(self, velocity):
+        # not left to the first step, whose position check would name the wrong field
+        with pytest.raises(ValueError, match="velocity must be finite"):
+            GateState(velocity=velocity)
+
     @given(
         y=st.floats(-2.0, 2.0),
         v=st.floats(-3.0, 3.0),
@@ -300,8 +306,25 @@ class _DenseEventCamera(EventCameraSim):
         events["y"] = ys
         events["p"] = np.where(after[ys, xs], 1, -1)
         if self.config.spurious_rate > 0:
-            events = self._add_spurious(events, self.time)
+            events = self._add_spurious(events)
         return self.time, self.gate, events
+
+    def _add_spurious(self, events):
+        """Append this frame's spurious events: a count, then columns, rows, polarities.
+
+        A frame that draws no events draws nothing further, so the batched
+        path's empty draws must leave the generator alone.
+        """
+        rng, cam = self._rng, self.camera
+        n = rng.poisson(self.config.spurious_rate * self.config.frame_dt)
+        if n == 0:
+            return events
+        noise = np.empty(n, dtype=EVENT_DTYPE)
+        noise["t"] = self.time
+        noise["x"] = rng.integers(0, cam.width, n)
+        noise["y"] = rng.integers(0, cam.height, n)
+        noise["p"] = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+        return np.concatenate([events, noise])
 
 
 def test_step_events_equal_dense_reference(oracle_world):
@@ -326,6 +349,15 @@ def test_step_frames_equal_single_steps(oracle_world):
     t_ref, gate_ref, expected = single.step()
     assert (t, gate) == (t_ref, gate_ref)
     assert events.tobytes() == expected.tobytes()
+
+
+def test_step_frames_draw_the_single_steps_stream(oracle_world):
+    # an extra or a missing draw shows here even where the events agree
+    batched, single = EventCameraSim(oracle_world), EventCameraSim(oracle_world)
+    batched.step(10)
+    for _ in range(10):
+        single.step()
+    assert batched._rng.bit_generator.state == single._rng.bit_generator.state
 
 
 @pytest.mark.parametrize("frames", [0, -2, 1.5, True])
