@@ -42,14 +42,12 @@ def _check_out_paths(*paths) -> None:
 
 def _cmd_train_pgnn(args) -> int:
     _check_out_paths(args.out, args.loss_curve)
+    config = pgnn.TrainConfig(lam=args.lam, epochs=args.epochs, seed=args.seed)
     if args.dataset:
         samples = read_dataset_csv(args.dataset)
     else:
         coeffs, flight = default_energy_model()
         samples = build_dataset(default_training_depths(), coeffs, flight)
-    config = pgnn.TrainConfig(
-        lam=args.lam, epochs=args.epochs, seed=args.seed
-    )
     params, history = pgnn.train_pgnn(samples, config)
     pgnn.save_params(params, args.out)
     if args.loss_curve:

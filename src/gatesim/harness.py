@@ -75,6 +75,9 @@ class EpisodeConfig(WorldConfig):
         for name in ("depth_noise_sigma", "drone_radius"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.drone_radius < self.gate_radius:
+            raise ValueError(f"drone_radius {self.drone_radius} must be less than gate_radius "
+                             f"{self.gate_radius}: the drone cannot fit through the hoop")
         check_integer("max_sensing_bins", self.max_sensing_bins, 1)
 
     @property
@@ -125,12 +128,10 @@ def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
     coefficient does not change the trained network: the pgnn and
     vanilla-ann planners share one set of parameters.
     """
+    config = pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed)
     coeffs, flight = default_energy_model()
     samples = build_dataset(default_training_depths(), coeffs, flight)
-    params, _ = pgnn_mod.train_pgnn(
-        samples, pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed),
-        record_history=False,
-    )
+    params, _ = pgnn_mod.train_pgnn(samples, config, record_history=False)
     return PlannerModels(coeffs, flight, params, params)
 
 
@@ -421,10 +422,9 @@ def success_rate_grid(
     models: PlannerModels,
     runs: int = 10,
     base_seed: int = 0,
-    template: EpisodeConfig = EpisodeConfig(),
 ) -> list[GridResult]:
     """Success fraction per cell for both perception modes, seeded and paired."""
-    rows = run_paired(cells, models, runs, base_seed, template, _PERCEPTION_COMBOS)
+    rows = run_paired(cells, models, runs, base_seed, EpisodeConfig(), _PERCEPTION_COMBOS)
     return [
         GridResult(
             cell.drone_x, cell.drone_y, cell.gate_y0, cell.gate_speed, mode,
@@ -488,18 +488,17 @@ class AblationCell:
     success_rate: float
 
 
+#: The one start cell the ablation flies.
+ABLATION_CELL = GridCell(2.0, 0.0, 2.0)
+
+
 def ablation_matrix(
-    models: PlannerModels,
-    base_cell: GridCell | None = None,
-    runs: int = 10,
-    base_seed: int = 0,
-    template: EpisodeConfig = EpisodeConfig(),
+    models: PlannerModels, runs: int = 10, base_seed: int = 0
 ) -> list[AblationCell]:
-    """2x2 perception/planner ablation over identical seeded worlds."""
-    if base_cell is None:
-        base_cell = GridCell(2.0, 0.0, 2.0)
+    """2x2 perception/planner ablation over identical seeded worlds of
+    ``ABLATION_CELL``."""
     combos = [(p, q) for p in PERCEPTION_MODES for q in PLANNER_MODES]
-    rows = run_paired([base_cell], models, runs, base_seed, template, combos)
+    rows = run_paired([ABLATION_CELL], models, runs, base_seed, EpisodeConfig(), combos)
     cells = []
     for perception, planner in combos:
         rate, energy = _rate_and_mean(

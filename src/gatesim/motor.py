@@ -6,9 +6,12 @@ in rotor speed plus spin-up terms in the rotor acceleration.  The flight model
 is symmetric-thrust, so the four motors share one rotor speed; integrating
 four times that motor's power over a flight gives the actuation energy.
 
-All angular speeds are in rad/s internally.  The 7994 rpm motor limit is the
-one constant ``OMEGA_MAX``; the torque constant doubles as the back-EMF
-constant (same SI value in V*s/rad and N*m/A).
+All angular speeds are in rad/s internally.  The drone has one motor type,
+so its datasheet values are module constants: the 7994 rpm speed limit
+``OMEGA_MAX`` beside ``RESISTANCE``, ``FRICTION_TORQUE``,
+``LOAD_TORQUE_COEFF``, ``DAMPING``, ``K_T``, ``ROTOR_INERTIA`` and the blade
+constants that give ``LOAD_INERTIA``.  The torque constant doubles as the
+back-EMF constant (same SI value in V*s/rad and N*m/A).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from scipy import optimize
 
 from .csvio import write_csv
-from .errors import check_integer
 
 RPM_TO_RAD = 2.0 * np.pi / 60.0
 
@@ -31,46 +33,20 @@ VELOCITY_GRID = np.arange(1.0, 17.0)
 #: Total instantaneous power of the calibrated hover configuration [W].
 HOVER_POWER_W = 124.0
 
+# Physical constants of one rotor motor and its propeller load.
+RESISTANCE = 0.3                 # winding resistance [ohm]
+FRICTION_TORQUE = 0.0187         # static motor friction [N*m]
+LOAD_TORQUE_COEFF = 9.04969e-09  # aerodynamic load torque k * omega^2 [N*m*s^2/rad^2]
+DAMPING = 2e-04                  # viscous damping [N*m*s/rad]
+K_T = 0.532                      # torque constant [N*m/A] == back-EMF [V*s/rad]
+ROTOR_INERTIA = 4.9e-06          # [kg*m^2]
+N_BLADES = 3
+BLADE_MASS = 0.001               # [kg]
+BLADE_RADIUS = 0.1               # [m]
+BLADE_CLEARANCE = 0.023          # hub clearance between blade and motor [m]
 
-@dataclass(frozen=True)
-class MotorParams:
-    """Physical constants of one rotor motor and its propeller load.
-
-    ``load_torque_coeff`` scales the aerodynamic load torque k * omega^2.
-    """
-
-    resistance: float = 0.3            # winding resistance [ohm]
-    friction_torque: float = 0.0187    # static motor friction [N*m]
-    load_torque_coeff: float = 9.04969e-09  # [N*m*s^2/rad^2]
-    damping: float = 2e-04             # viscous damping [N*m*s/rad]
-    k_t: float = 0.532                 # torque constant [N*m/A] == back-EMF [V*s/rad]
-    rotor_inertia: float = 4.9e-06     # [kg*m^2]
-    n_blades: int = 3
-    blade_mass: float = 0.001          # [kg]
-    blade_radius: float = 0.1          # [m]
-    blade_clearance: float = 0.023     # hub clearance between blade and motor [m]
-
-    def __post_init__(self):
-        # written so that NaN fails each check
-        if not self.resistance > 0:
-            raise ValueError("resistance must be positive")
-        if not self.k_t > 0:
-            raise ValueError("torque constant must be positive")
-        if not all(x >= 0 for x in (self.friction_torque, self.damping, self.load_torque_coeff)):
-            raise ValueError("friction, damping and load coefficients must be >= 0")
-        if not (self.rotor_inertia > 0 and self.blade_mass >= 0 and self.blade_radius > 0):
-            raise ValueError("inertia, blade mass and radius must be positive")
-        check_integer("n_blades", self.n_blades, 1)
-
-
-def load_inertia(params: MotorParams) -> float:
-    """Propeller load inertia: n_blades * blade_mass * (r - clearance)^2 / 4."""
-    arm = params.blade_radius - params.blade_clearance
-    if not arm >= 0:
-        raise ValueError(
-            f"clearance {params.blade_clearance} exceeds radius {params.blade_radius}"
-        )
-    return 0.25 * params.n_blades * params.blade_mass * arm**2
+#: Propeller load inertia: n_blades * blade_mass * (r - clearance)^2 / 4 [kg*m^2].
+LOAD_INERTIA = 0.25 * N_BLADES * BLADE_MASS * (BLADE_RADIUS - BLADE_CLEARANCE) ** 2
 
 
 @dataclass(frozen=True)
@@ -95,15 +71,15 @@ class EnergyCoefficients:
     accel_quad: float
 
 
-def energy_coefficients(params: MotorParams) -> EnergyCoefficients:
-    """Expand e(t)*i(t) into rotor-speed polynomial coefficients."""
-    r = params.resistance
-    kt = params.k_t
-    ke = params.k_t  # back-EMF constant equals the torque constant
-    tf = params.friction_torque
-    df = params.damping
-    kl = params.load_torque_coeff
-    j = params.rotor_inertia + load_inertia(params)
+def energy_coefficients() -> EnergyCoefficients:
+    """Expand the motor's e(t)*i(t) into rotor-speed polynomial coefficients."""
+    r = RESISTANCE
+    kt = K_T
+    ke = K_T  # back-EMF constant equals the torque constant
+    tf = FRICTION_TORQUE
+    df = DAMPING
+    kl = LOAD_TORQUE_COEFF
+    j = ROTOR_INERTIA + LOAD_INERTIA
 
     c0 = r * tf**2 / kt**2
     c1 = (tf / kt) * (2.0 * r * df / kt + ke)
@@ -215,9 +191,9 @@ class FlightModel:
 
 
 def default_energy_model() -> tuple[EnergyCoefficients, FlightModel]:
-    """Coefficients of the default motor and a flight model with the hover
+    """Coefficients of the motor and a flight model with the hover
     rotor speed calibrated to ``HOVER_POWER_W``."""
-    c = energy_coefficients(MotorParams())
+    c = energy_coefficients()
     return c, FlightModel(hover_speed=hover_rotor_speed(c))
 
 

@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from gatesim import harness, pgnn
+from gatesim import harness, motor, pgnn
 from gatesim.cli import main as cli_main
 from gatesim.fitting import fit_quintic, optimal_velocity
 from gatesim.motor import (
     OMEGA_MAX,
-    MotorParams,
     energy_velocity_profile,
     hover_rotor_speed,
     motor_power,
@@ -37,21 +36,20 @@ def full_models():
 
 def test_criterion_1_energy_oracle_equivalence(coeffs):
     t0 = time.monotonic()
-    params = MotorParams()
     rng = np.random.default_rng(1)
     omegas = rng.uniform(0.0, OMEGA_MAX, 1000)
     domegas = rng.uniform(-5000.0, 5000.0, 1000)
 
-    j = params.rotor_inertia + 0.25 * params.n_blades * params.blade_mass * (
-        params.blade_radius - params.blade_clearance
+    j = motor.ROTOR_INERTIA + 0.25 * motor.N_BLADES * motor.BLADE_MASS * (
+        motor.BLADE_RADIUS - motor.BLADE_CLEARANCE
     ) ** 2
     current = (
-        params.friction_torque
-        + params.damping * omegas
-        + params.load_torque_coeff * omegas**2
+        motor.FRICTION_TORQUE
+        + motor.DAMPING * omegas
+        + motor.LOAD_TORQUE_COEFF * omegas**2
         + j * domegas
-    ) / params.k_t
-    voltage = params.resistance * current + params.k_t * omegas
+    ) / motor.K_T
+    voltage = motor.RESISTANCE * current + motor.K_T * omegas
     oracle = voltage * current
 
     got = motor_power(coeffs, omegas, domegas)

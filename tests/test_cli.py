@@ -164,6 +164,7 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     ("[world]\nspurious_rate = -5\n", "spurious_rate"),
     ("[episode]\ndepth_noise_sigma = -0.1\n", "depth_noise_sigma"),
     ("[episode]\ndrone_radius = -1\n", "drone_radius"),
+    ("[world]\ngate_radius = 0.5\n[episode]\ndrone_radius = 0.5\n", "gate_radius"),
 ])
 def test_run_rejects_bad_config(tmp_path, capsys, text, name):
     cfg_path = tmp_path / "episode.ini"
@@ -202,6 +203,15 @@ def test_train_pgnn_rejects_bad_depth(tmp_path, capsys, depth):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 3 of") and "depth must be finite and positive" in err
+    assert not out.exists()
+
+
+def test_train_pgnn_checks_settings_before_reading_the_dataset(tmp_path, capsys):
+    out = tmp_path / "p.npz"
+    code = main(["train-pgnn", "--epochs", "0", "--dataset", str(tmp_path / "missing.csv"),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: epochs must be")
     assert not out.exists()
 
 

@@ -3,18 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gatesim import motor
 from gatesim.motor import (
     HOVER_POWER_W,
     OMEGA_MAX,
     VELOCITY_GRID,
     FlightModel,
-    MotorParams,
     RotorSpeedProfile,
     calibration_report,
     energy_coefficients,
     energy_velocity_profile,
     hover_rotor_speed,
-    load_inertia,
     motor_power,
     rotor_speeds,
     trajectory_energy,
@@ -22,23 +21,23 @@ from gatesim.motor import (
 )
 
 
-def voltage_current_power(p: MotorParams, omega, domega=0.0):
+def voltage_current_power(omega, domega=0.0):
     """Independent oracle: assemble power directly as voltage times current.
 
     Current balances friction, viscous damping, aerodynamic load and the
     inertial torque; the steady-state voltage is the resistive drop plus the
     back EMF.
     """
-    j = p.rotor_inertia + 0.25 * p.n_blades * p.blade_mass * (
-        p.blade_radius - p.blade_clearance
+    j = motor.ROTOR_INERTIA + 0.25 * motor.N_BLADES * motor.BLADE_MASS * (
+        motor.BLADE_RADIUS - motor.BLADE_CLEARANCE
     ) ** 2
     current = (
-        p.friction_torque
-        + p.damping * omega
-        + p.load_torque_coeff * omega**2
+        motor.FRICTION_TORQUE
+        + motor.DAMPING * omega
+        + motor.LOAD_TORQUE_COEFF * omega**2
         + j * domega
-    ) / p.k_t
-    voltage = p.resistance * current + p.k_t * omega
+    ) / motor.K_T
+    voltage = motor.RESISTANCE * current + motor.K_T * omega
     return voltage * current
 
 
@@ -46,20 +45,8 @@ class TestLoadInertia:
     def test_default_value(self):
         # 0.25 * 3 * 0.001 * 0.077^2, written out independently
         expected = 0.25 * 3 * 0.001 * (0.1 - 0.023) ** 2
-        assert load_inertia(MotorParams()) == pytest.approx(expected, rel=1e-12)
+        assert motor.LOAD_INERTIA == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(4.44675e-6, rel=1e-9)
-
-    def test_massless_blades(self):
-        assert load_inertia(MotorParams(blade_mass=0.0)) == 0.0
-
-    def test_zero_moment_arm(self):
-        assert load_inertia(MotorParams(blade_clearance=0.1)) == 0.0
-
-    def test_clearance_beyond_radius(self):
-        with pytest.raises(ValueError, match="clearance .* exceeds radius"):
-            load_inertia(MotorParams(blade_clearance=0.2))
-        with pytest.raises(ValueError, match="clearance .* exceeds radius"):
-            load_inertia(MotorParams(blade_clearance=float("nan")))
 
 
 class TestEnergyCoefficients:
@@ -84,31 +71,11 @@ class TestEnergyCoefficients:
     def test_total_inertia(self, coeffs):
         assert coeffs.j_total == pytest.approx(4.9e-6 + 4.44675e-6, rel=1e-9)
 
-    def test_frictionless_dragless_motor_vanishes(self):
-        params = MotorParams(friction_torque=0.0, damping=0.0, load_torque_coeff=0.0)
-        c = energy_coefficients(params)
+    def test_frictionless_dragless_motor_vanishes(self, monkeypatch):
+        for name in ("FRICTION_TORQUE", "DAMPING", "LOAD_TORQUE_COEFF"):
+            monkeypatch.setattr(motor, name, 0.0)
+        c = energy_coefficients()
         assert (c.c0, c.c1, c.c2, c.c3, c.c4, c.c5) == (0, 0, 0, 0, 0, 0)
-
-    def test_zero_torque_constant(self):
-        with pytest.raises(ValueError, match="torque constant must be positive"):
-            MotorParams(k_t=0.0)
-        with pytest.raises(ValueError, match="torque constant must be positive"):
-            MotorParams(k_t=float("nan"))
-
-    @pytest.mark.parametrize("name, bad", [
-        ("resistance", 0.0), ("rotor_inertia", 0.0), ("blade_radius", 0.0),
-        ("friction_torque", -1e-3), ("damping", -1e-3), ("load_torque_coeff", -1e-9),
-        ("blade_mass", -1e-3),
-    ])
-    def test_motor_settings_rejected(self, name, bad):
-        for value in (bad, float("nan")):
-            with pytest.raises(ValueError):
-                MotorParams(**{name: value})
-
-    @pytest.mark.parametrize("bad", [-3, 0, 1.5, True])
-    def test_blade_count_rejected(self, bad):
-        with pytest.raises(ValueError, match="n_blades"):
-            MotorParams(n_blades=bad)
 
     def test_nonnegative_for_defaults(self, coeffs):
         for value in (coeffs.c0, coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5):
@@ -120,12 +87,11 @@ class TestMotorPower:
         assert motor_power(coeffs, 0.0, 0.0) == pytest.approx(coeffs.c0, rel=1e-12)
 
     def test_oracle_equivalence_random(self, coeffs):
-        params = MotorParams()
         rng = np.random.default_rng(0)
         omegas = rng.uniform(0.0, OMEGA_MAX, 1000)
         domegas = rng.uniform(-5000.0, 5000.0, 1000)
         got = motor_power(coeffs, omegas, domegas)
-        want = voltage_current_power(params, omegas, domegas)
+        want = voltage_current_power(omegas, domegas)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
 
     def test_strictly_increasing_in_omega(self, coeffs):
