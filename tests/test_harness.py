@@ -526,9 +526,9 @@ class TestSuiteOracle:
     CELLS = [GridCell(2.0, 0.0, 2.0), GridCell(3.0, 1.0, 1.0)]
     RUNS = 2
 
-    def _episodes(self, models, cell, ci, perception, planner="pgnn"):
+    def _episodes(self, models, cell, ci, perception, planner="pgnn", base_seed=0):
         return [
-            run_episode(replace(derive_run_config(cell, run, 0, ci),
+            run_episode(replace(derive_run_config(cell, run, base_seed, ci),
                                 perception_mode=perception, planner_mode=planner), models)
             for run in range(self.RUNS)
         ]
@@ -572,13 +572,15 @@ class TestSuiteOracle:
             np.mean([d.success for d in depth]),
         ))
 
-    def test_ablation_matrix(self, quick_models):
-        got = ablation_matrix(quick_models, runs=self.RUNS)
-        cell = self.CELLS[0]  # the ablation's one start cell
+    @pytest.mark.parametrize("base_seed", [0, 1])
+    def test_ablation_matrix(self, quick_models, base_seed):
+        got = ablation_matrix(quick_models, runs=self.RUNS, base_seed=base_seed)
+        cell = self.CELLS[0]
+        assert harness.ABLATION_CELL == cell
         want = []
         for perception in PERCEPTION_MODES:
             for planner in PLANNER_MODES:
-                eps = self._episodes(quick_models, cell, 0, perception, planner)
+                eps = self._episodes(quick_models, cell, 0, perception, planner, base_seed)
                 want.append(AblationCell(
                     perception, planner,
                     np.mean([e.energy_J for e in eps]), np.mean([e.success for e in eps]),
