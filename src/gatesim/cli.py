@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     models = argparse.ArgumentParser(add_help=False)
-    models.add_argument("--epochs", type=int, default=2000,
+    models.add_argument("--epochs", type=int, default=pgnn.TrainConfig.epochs,
                         help="training epochs for the planner models")
     models.add_argument("--model-seed", type=int, default=0)
     suite = argparse.ArgumentParser(add_help=False)
@@ -129,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-pgnn", help="train the velocity predictor")
     p.add_argument("--dataset", default=None,
                    help="training CSV (depth,v_star,k1..k5); default: generate")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4,
+    p.add_argument("--lambda", dest="lam", type=float, default=pgnn.TrainConfig.lam,
                    help="physics regularization coefficient")
-    p.add_argument("--epochs", type=int, default=2000)
+    p.add_argument("--epochs", type=int, default=pgnn.TrainConfig.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output parameter file (.npz)")
     p.add_argument("--loss-curve", default=None, help="optional loss-curve CSV")

@@ -85,7 +85,7 @@ def optimal_velocity(fit: QuinticFit) -> tuple[float, bool]:
         return float(np.polynomial.polynomial.polyval(v, dcoeffs))
 
     grid = np.linspace(fit.v_lo, fit.v_hi, _SCAN_INTERVALS + 1)
-    values = [deriv(v) for v in grid]
+    values = np.polynomial.polynomial.polyval(grid, dcoeffs).tolist()
     candidates = [fit.v_lo, fit.v_hi]
     for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if fa == 0.0:

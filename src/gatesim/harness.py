@@ -121,14 +121,16 @@ class PlannerModels:
         return self.pgnn_params if planner_mode == "pgnn" else self.vanilla_params
 
 
-def build_default_models(seed: int = 0, epochs: int = 2000) -> PlannerModels:
+def build_default_models(
+    seed: int = 0, epochs: int = pgnn_mod.TrainConfig.epochs
+) -> PlannerModels:
     """Calibrate the energy model and train the planner network once.
 
     The physics penalty is evaluated at the training targets, so its
     coefficient does not change the trained network: the pgnn and
     vanilla-ann planners share one set of parameters.
     """
-    config = pgnn_mod.TrainConfig(lam=1e-4, epochs=epochs, seed=seed)
+    config = pgnn_mod.TrainConfig(epochs=epochs, seed=seed)
     coeffs, flight = default_energy_model()
     samples = build_dataset(default_training_depths(), coeffs, flight)
     params, _ = pgnn_mod.train_pgnn(samples, config, record_history=False)
@@ -304,15 +306,6 @@ _GATE_START = {
 }
 
 
-def default_success_grid() -> list[GridCell]:
-    """15 starting-point cells: depths 2-6 m x drone lateral {0, +-1, +-2}."""
-    cells = []
-    for x in range(5):
-        for y_abs in (0, 1, 2):
-            cells.append(GridCell(float(x), float(y_abs), _GATE_START[x][y_abs]))
-    return cells
-
-
 def energy_suite_cells() -> list[GridCell]:
     """25 flights: depths 2-6 m x drone lateral {0, 1, -1, 2, -2}."""
     cells = []
@@ -322,6 +315,13 @@ def energy_suite_cells() -> list[GridCell]:
             gate_y0 = base if y >= 0 else -base
             cells.append(GridCell(float(x), y, gate_y0))
     return cells
+
+
+def default_success_grid() -> list[GridCell]:
+    """15 starting-point cells: depths 2-6 m x drone lateral {0, +-1, +-2},
+    the energy suite's cells with ``drone_y >= 0`` (alternation covers the
+    mirrored side)."""
+    return [cell for cell in energy_suite_cells() if cell.drone_y >= 0]
 
 
 def derive_run_config(
@@ -454,15 +454,12 @@ class EnergyComparison:
 
 def energy_comparison(
     models: PlannerModels,
-    cells=None,
     runs: int = 10,
     base_seed: int = 0,
     template: EpisodeConfig = EpisodeConfig(),
 ) -> EnergyComparison:
-    """Run the paired energy suite (default: the 25-flight set, 10 runs each)."""
-    if cells is None:
-        cells = energy_suite_cells()
-    rows = run_paired(cells, models, runs, base_seed, template, _PERCEPTION_COMBOS)
+    """Run the paired energy suite over the 25 ``energy_suite_cells`` flights."""
+    rows = run_paired(energy_suite_cells(), models, runs, base_seed, template, _PERCEPTION_COMBOS)
     event, depth = ([res for _, _, p, _, res in rows if p == mode] for mode in PERCEPTION_MODES)
     surpluses = [
         d.energy_J - e.energy_J
@@ -556,16 +553,6 @@ def load_episode_config(path) -> EpisodeConfig:
     return EpisodeConfig(**values)
 
 
-def write_episode_config(cfg: EpisodeConfig, path) -> None:
-    """Write an EpisodeConfig in the INI schema accepted by load_episode_config."""
-    parser = configparser.ConfigParser()
-    for section, keys in _INI_SECTIONS.items():
-        values = {key: getattr(cfg, key) for key in keys}
-        parser[section] = {k: "default" if v is None else str(v) for k, v in values.items()}
-    with open(path, "w") as fh:
-        parser.write(fh)
-
-
 def load_grid_csv(path) -> list[GridCell]:
     """Read grid cells from CSV whose header names GridCell fields.
 
@@ -584,7 +571,3 @@ def _checked_cell(row: dict) -> GridCell:
     cell = GridCell(**row)
     derive_run_config(cell, 0)
     return cell
-
-
-def write_grid_cells_csv(cells, path) -> None:
-    _write_csv(cells, GridCell, {**_CELL_FORMATS, "alternate": "d"}, path)

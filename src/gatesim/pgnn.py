@@ -94,28 +94,26 @@ def _mean0(a):
 def _forward(params: MlpParams, depths: np.ndarray, mode: str):
     """Forward pass on raw depths: predictions, and in train mode the caches backprop needs."""
     caches = []
+    train = mode == "train"
     h = (depths * DEPTH_SCALE).reshape(-1, 1)
     n_hidden = len(params.bn_gamma)
     for i in range(n_hidden):
         a = h @ params.weights[i] + params.biases[i]
-        if mode == "train":
-            mu = _mean0(a)
-            var = _mean0((a - mu) ** 2)  # a.var(0) bit for bit
-        else:
-            mu = params.bn_mean[i]
-            var = params.bn_var[i]
+        mu = _mean0(a) if train else params.bn_mean[i]
+        a -= mu  # centred once, in place: the variance and xhat both read it
+        var = _mean0(a ** 2) if train else params.bn_var[i]  # a.var(0) bit for bit
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (a - mu) * inv
+        xhat = a * inv
         y = params.bn_gamma[i] * xhat + params.bn_beta[i]
         out = np.maximum(y, 0.0)
-        if mode == "train":
+        if train:
             caches.append({"h": h, "xhat": xhat, "inv": inv, "y": y,
                            "mu": mu, "var": var})
         h = out
     z = h @ params.weights[-1] + params.biases[-1]
     s = _sigmoid(z)
     v = V_MIN + (V_MAX - V_MIN) * s
-    if mode == "train":
+    if train:
         caches.append({"h": h, "s": s})
     return v.ravel(), caches
 

@@ -186,22 +186,17 @@ def _ring_coverage(camera: CameraModel, gates, thickness_px: float, threshold: f
 
 
 def annulus_mask(
-    camera: CameraModel,
-    gate: GateState,
-    thickness_px: float = 2.0,
-    threshold: float = 0.5,
+    camera: CameraModel, gate: GateState, thickness_px: float, threshold: float
 ) -> np.ndarray:
-    """The ring's covered pixels as sorted flat indices (row * width + col); see _ring_coverage."""
+    """The ring's covered pixels as sorted flat indices (row * width + col); see _ring_coverage.
+
+    ``thickness_px`` and ``threshold`` are a world's ``ring_thickness_px``
+    and ``event_threshold``."""
     pixels, covered = _ring_coverage(camera, [gate], thickness_px, threshold)
     return pixels[covered[0]]
 
 
-def annulus_bbox(
-    camera: CameraModel,
-    gate: GateState,
-    thickness_px: float = 2.0,
-    threshold: float = 0.5,
-):
+def annulus_bbox(camera: CameraModel, gate: GateState, thickness_px: float, threshold: float):
     """Pixel bounding box (x_min, x_max, y_min, y_max) of the visible annulus, or None."""
     pixels = annulus_mask(camera, gate, thickness_px, threshold)
     if not len(pixels):

@@ -300,7 +300,7 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
         membrane, spikes = lif_step(membrane, pixels, counts)
         if prev_pixels is not None and prev_mid is not None:
             box = track_bbox(spikes, prev_pixels)
-            truth = annulus_bbox(cam, prev_mid)
+            truth = annulus_bbox(cam, prev_mid, cfg.ring_thickness_px, cfg.event_threshold)
             if box is not None and truth is not None:
                 ious.append(
                     box_iou((box.x_min, box.x_max, box.y_min, box.y_max), truth)
@@ -373,7 +373,8 @@ def test_criterion_11_csv_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / f"bench_{name}.csv"
         grid = tmp_path / "grid.csv"
-        harness.write_grid_cells_csv([harness.GridCell(2.0, 0.0, 2.0)], grid)
+        grid.write_text("drone_x,drone_y,gate_y0,gate_speed,alternate\n"
+                        "2.000,0.000,2.000,0.500,1\n")
         code = cli_main([
             "benchmark", "--grid", str(grid), "--out", str(out),
             "--runs", "2", "--epochs", "30", "--seed", "9",

@@ -5,8 +5,6 @@ import pytest
 
 from gatesim import harness, pgnn
 from gatesim.cli import build_parser, main
-from gatesim.harness import EpisodeConfig, write_episode_config, write_grid_cells_csv
-from gatesim.harness import GridCell
 from gatesim.pgnn import load_params, mlp_forward
 
 
@@ -103,7 +101,7 @@ def test_train_pgnn_from_csv_dataset(tmp_path, dataset):
 
 def test_run_episode_command(tmp_path, capsys):
     cfg_path = tmp_path / "episode.ini"
-    write_episode_config(EpisodeConfig(seed=7), cfg_path)
+    cfg_path.write_text("[world]\nseed = 7\n")
     traj_path = tmp_path / "traj.csv"
     code = main([
         "run", "--config", str(cfg_path), "--epochs", "50",
@@ -117,7 +115,8 @@ def test_run_episode_command(tmp_path, capsys):
 
 def test_benchmark_deterministic(tmp_path):
     grid_path = tmp_path / "grid.csv"
-    write_grid_cells_csv([GridCell(2.0, 0.0, 2.0), GridCell(3.0, 1.0, 1.0)], grid_path)
+    grid_path.write_text("drone_x,drone_y,gate_y0,gate_speed,alternate\n"
+                         "2.000,0.000,2.000,0.500,1\n3.000,1.000,1.000,0.500,1\n")
     outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
     for out in outs:
         code = main([
@@ -146,7 +145,7 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert code == 1
 
     cfg_path = tmp_path / "episode.ini"
-    write_episode_config(EpisodeConfig(), cfg_path)
+    cfg_path.write_text("[world]\n[episode]\n")
     capsys.readouterr()
     assert main(["run", "--config", str(cfg_path), "--model-seed", "-3"]) == 1
     assert "seed must be >= 0, got -3" in capsys.readouterr().err
@@ -340,7 +339,7 @@ def test_commands_check_output_dir_before_training(tmp_path, capsys, build_calls
     out = tmp_path / "missing" / "out.csv"
     if command == "run":
         cfg_path = tmp_path / "episode.ini"
-        write_episode_config(EpisodeConfig(), cfg_path)
+        cfg_path.write_text("[world]\n[episode]\n")
         argv = ["run", "--config", str(cfg_path), "--trajectory-out", str(out)]
     else:
         argv = [command, "--out", str(out)]

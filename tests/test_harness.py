@@ -18,6 +18,7 @@ from gatesim.harness import (
     EpisodeConfig,
     GridCell,
     GridResult,
+    Measurement,
     ablation_energy_ratio,
     ablation_matrix,
     build_default_models,
@@ -32,12 +33,11 @@ from gatesim.harness import (
     run_episode,
     success_rate_grid,
     write_ablation_csv,
-    write_episode_config,
-    write_grid_cells_csv,
     write_grid_csv,
 )
 from gatesim.motor import motor_power, rotor_speeds
 from gatesim.planner import MinJerkTrajectory, sample_arrays
+from gatesim.scene import WorldConfig
 
 
 class TestEpisodeConfig:
@@ -339,6 +339,21 @@ def test_default_length_flight_energy_pinned(quick_models):
     assert harness.fly(quick_models, traj).hex() == "0x1.a28ee280fa35bp+6"
 
 
+@pytest.mark.parametrize("fixes, on_wall", [
+    ((1.5, 2.3), (1.5, 2.0)),     # second fix past the +y wall
+    ((-2.3, -1.5), (-2.0, -1.5)),  # first fix past the -y wall
+])
+def test_plan_clamps_fixes_to_the_corridor(quick_models, fixes, on_wall):
+    # a noisy back-projection can land past a wall; it plans as a fix on the wall
+    cfg = EpisodeConfig()
+    assert cfg.gate_bound == 2.0
+    got, want = (harness.plan(cfg, quick_models, Measurement(*ys, 0.0, 0.1, cfg.depth))
+                 for ys in (fixes, on_wall))
+    assert got.duration == want.duration and got.sample_dt == want.sample_dt
+    np.testing.assert_array_equal(got.start, want.start)
+    np.testing.assert_array_equal(got.end, want.end)
+
+
 def test_traced_names_are_looked_up_in_both_modes(quick_models, monkeypatch):
     # perfbench's tracer wraps these module and class attributes; a stage
     # that bound one under another name would zero its span silently
@@ -501,10 +516,9 @@ class TestSuites:
         assert sorted({c.drone_x for c in cells}) == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert len(energy_suite_cells()) == 25
 
-    def test_energy_comparison_pairing(self, quick_models):
-        comp = energy_comparison(
-            quick_models, cells=[GridCell(2.0, 0.0, 2.0)], runs=3
-        )
+    def test_energy_comparison_pairing(self, quick_models, monkeypatch):
+        monkeypatch.setattr(harness, "energy_suite_cells", lambda: [GridCell(2.0, 0.0, 2.0)])
+        comp = energy_comparison(quick_models, runs=3)
         assert comp.n_pairs <= 3
         assert comp.mean_depth_J > comp.mean_event_J
 
@@ -555,8 +569,9 @@ class TestSuiteOracle:
         for g, w in zip(got, want):
             self._assert_same(g, w)
 
-    def test_energy_comparison(self, quick_models):
-        got = energy_comparison(quick_models, cells=self.CELLS, runs=self.RUNS)
+    def test_energy_comparison(self, quick_models, monkeypatch):
+        monkeypatch.setattr(harness, "energy_suite_cells", lambda: self.CELLS)
+        got = energy_comparison(quick_models, runs=self.RUNS)
         event, depth = [], []
         for ci, cell in enumerate(self.CELLS):
             event += self._episodes(quick_models, cell, ci, "event-snn")
@@ -607,33 +622,6 @@ class TestCsvAndConfig:
         lines = path.read_text().splitlines()
         assert lines[0] == "perception_mode,planner_mode,mean_energy_J,success_rate"
         assert len(lines) == 5
-
-    def test_episode_config_roundtrip(self, tmp_path):
-        cfg = EpisodeConfig(
-            drone_x=3.0, drone_y=-1.0, gate_y0=0.5, gate_speed=-0.4,
-            perception_mode="depth-baseline", planner_mode="vanilla-ann",
-            depth_noise_sigma=0.02, seed=17,
-        )
-        path = tmp_path / "episode.ini"
-        write_episode_config(cfg, path)
-        assert load_episode_config(path) == cfg
-
-    def test_episode_config_default_latency_roundtrip(self, tmp_path):
-        cfg = EpisodeConfig(perception_latency=None)
-        path = tmp_path / "episode.ini"
-        write_episode_config(cfg, path)
-        loaded = load_episode_config(path)
-        assert loaded.perception_latency is None
-        cfg = EpisodeConfig(perception_latency=1.5)
-        write_episode_config(cfg, path)
-        assert load_episode_config(path).perception_latency == 1.5
-
-    def test_grid_cells_csv_roundtrip(self, tmp_path):
-        cells = default_success_grid()
-        path = tmp_path / "grid.csv"
-        write_grid_cells_csv(cells, path)
-        loaded = load_grid_csv(path)
-        assert loaded == cells
 
     def _grid(self, tmp_path, text):
         path = tmp_path / "grid.csv"
@@ -692,6 +680,27 @@ class TestCsvAndConfig:
         with pytest.raises(ValueError, match="is not a valid"):
             self._load(tmp_path, text)
 
+    def test_every_key_parses_as_its_field(self, tmp_path):
+        cfg = self._load(tmp_path, (
+            "[world]\ndrone_x = 3.0\ndrone_y = -1.0\ngate_y0 = 0.5\ngate_speed = -0.4\n"
+            "gate_bound = 2.5\ngate_radius = 1.2\ngate_plane_x = -2.5\nsensing_dt = 0.2\n"
+            "frame_dt = 0.02\nevent_threshold = 0.4\nspurious_rate = 1000\n"
+            "ring_thickness_px = 3.0\nseed = 17\n"
+            "[episode]\nperception_mode = depth-baseline\nplanner_mode = vanilla-ann\n"
+            "perception_latency = 1.5\ndepth_noise_sigma = 0.02\ndrone_radius = 0.3\n"
+            "max_sensing_bins = 12\n"
+        ))
+        assert cfg == EpisodeConfig(
+            drone_x=3.0, drone_y=-1.0, gate_y0=0.5, gate_speed=-0.4, gate_bound=2.5,
+            gate_radius=1.2, gate_plane_x=-2.5, sensing_dt=0.2, frame_dt=0.02,
+            event_threshold=0.4, spurious_rate=1000.0, ring_thickness_px=3.0, seed=17,
+            perception_mode="depth-baseline", planner_mode="vanilla-ann",
+            perception_latency=1.5, depth_noise_sigma=0.02, drone_radius=0.3,
+            max_sensing_bins=12,
+        )
+        for f in fields(EpisodeConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+
     def test_omitted_and_default_values_take_field_defaults(self, tmp_path):
         cfg = self._load(tmp_path, "[world]\nseed = 3\ndrone_y = default\n[episode]\n")
         assert cfg == EpisodeConfig(seed=3)
@@ -705,16 +714,15 @@ class TestCsvAndConfig:
     def test_readme_example_loads(self, tmp_path):
         assert self._load(tmp_path, self._readme_ini_block()) == EpisodeConfig()
 
-    def test_written_key_order_matches_readme(self, tmp_path):
-        def keys_by_section(text):
-            sections = {}
-            for line in text.splitlines():
-                if line.startswith("["):
-                    keys = sections[line.strip("[]")] = []
-                elif "=" in line:
-                    keys.append(line.split("=", 1)[0].strip())
-            return list(sections.items())
-
-        path = tmp_path / "episode.ini"
-        write_episode_config(EpisodeConfig(), path)
-        assert keys_by_section(path.read_text()) == keys_by_section(self._readme_ini_block())
+    def test_written_key_order_matches_readme(self):
+        # files are written in the README's order: [world] is WorldConfig's
+        # fields, [episode] those EpisodeConfig adds, each in field order
+        sections = {}
+        for line in self._readme_ini_block().splitlines():
+            if line.startswith("["):
+                keys = sections[line.strip("[]")] = []
+            elif "=" in line:
+                keys.append(line.split("=", 1)[0].strip())
+        world = [f.name for f in fields(WorldConfig)]
+        episode = [f.name for f in fields(EpisodeConfig) if f.name not in world]
+        assert list(sections.items()) == [("world", world), ("episode", episode)]

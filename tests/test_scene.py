@@ -153,7 +153,9 @@ class TestEventGeneration:
         cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, drone_x=2.0, frame_dt=0.05)
         gate = cfg.gate()
         _, moved, events = EventCameraSim(cfg).step()  # several-pixel displacement
-        union = np.union1d(annulus_mask(self.cam, gate), annulus_mask(self.cam, moved))
+        ring = cfg.ring_thickness_px, cfg.event_threshold
+        union = np.union1d(annulus_mask(self.cam, gate, *ring),
+                           annulus_mask(self.cam, moved, *ring))
         assert len(events) > 0
         assert np.isin(events["y"] * self.cam.width + events["x"], union).all()
 
@@ -230,7 +232,8 @@ class TestAnnulus:
     def test_ring_radius_in_pixels(self):
         cfg = WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0)
         cam = cfg.camera()
-        ys, xs = np.divmod(annulus_mask(cam, cfg.gate()), cam.width)
+        ys, xs = np.divmod(
+            annulus_mask(cam, cfg.gate(), cfg.ring_thickness_px, cfg.event_threshold), cam.width)
         rho = np.hypot(xs - 320.0, ys - 240.0)
         r_expected = 500.0 * 1.0 / 4.0  # focal * radius / depth
         assert rho.min() == pytest.approx(r_expected - 1.0, abs=1.0)
@@ -239,13 +242,14 @@ class TestAnnulus:
     def test_bbox_matches_mask(self):
         cfg = WorldConfig(gate_y0=0.5, gate_speed=0.0, drone_x=2.0)
         cam = cfg.camera()
-        box = annulus_bbox(cam, cfg.gate())
-        ys, xs = np.divmod(annulus_mask(cam, cfg.gate()), cam.width)
+        ring = cfg.ring_thickness_px, cfg.event_threshold
+        box = annulus_bbox(cam, cfg.gate(), *ring)
+        ys, xs = np.divmod(annulus_mask(cam, cfg.gate(), *ring), cam.width)
         assert box == (xs.min(), xs.max(), ys.min(), ys.max())
 
     def test_invisible_gate_has_no_bbox(self):
         cam = CameraModel(position=(2.0, -30.0, 0.0))
-        assert annulus_bbox(cam, GateState(y=2.0, velocity=0.0)) is None
+        assert annulus_bbox(cam, GateState(y=2.0, velocity=0.0), 2.0, 0.5) is None
 
     @staticmethod
     def _reference_mask(camera, gate, thickness_px, threshold):
@@ -270,7 +274,7 @@ class TestAnnulus:
 
     def test_off_screen_ring_covers_nothing(self):
         cam = CameraModel(position=(2.0, -30.0, 0.0))
-        pixels = annulus_mask(cam, GateState(y=2.0, velocity=0.0))
+        pixels = annulus_mask(cam, GateState(y=2.0, velocity=0.0), 2.0, 0.5)
         assert pixels.dtype == np.int64 and len(pixels) == 0
 
     @pytest.mark.parametrize("threshold, thickness, name", [
