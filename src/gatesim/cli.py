@@ -18,10 +18,11 @@ from .motor import (
 
 def _cmd_profile_energy(args) -> int:
     coeffs, flight = default_energy_model()
-    profiles = {
-        float(d): energy_velocity_profile(coeffs, flight, float(d))
-        for d in args.depth
-    }
+    profiles = {}
+    for depth in args.depth:
+        if depth in profiles:
+            raise ValueError(f"--depth {depth} is repeated: depths must be distinct")
+        profiles[depth] = energy_velocity_profile(coeffs, flight, depth)
     write_profile_csv(profiles, args.out)
     print(calibration_report(coeffs, flight))
     print(f"wrote {sum(len(p) for p in profiles.values())} rows to {args.out}")
@@ -121,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("profile-energy", help="export energy-velocity profiles")
-    p.add_argument("--depth", action="append", required=True,
-                   help="traversal depth in meters (repeatable)")
+    p.add_argument("--depth", action="append", required=True, type=float,
+                   help="traversal depth in meters (repeatable, each distinct)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_profile_energy)
 

@@ -42,7 +42,7 @@ from .planner import (
     sample_arrays,
     write_trajectory_csv,
 )
-from .scene import EventCameraSim, WorldConfig, rewind_gate, step_gate
+from .scene import EventCameraSim, WorldConfig, step_gate
 from .tracker import GateTrack, SnnGateTracker, pixel_to_world_y
 
 EVENT_LATENCY = 0.2      # perception pipeline delay of the event path [s]
@@ -173,15 +173,15 @@ def perceive(cfg: EpisodeConfig) -> tuple[Measurement | None, float]:
         return cfg.depth + cfg.depth_noise_sigma * rng.standard_normal()
 
     if cfg.perception_mode == "depth-baseline":
-        gate = cfg.gate()
         dt = max(np.floor(cfg.sensing_dt * DEPTH_TRACKER_HZ + 1e-9), 1.0) / DEPTH_TRACKER_HZ
-        m = Measurement(gate.y, step_gate(gate, dt).y, 0.0, dt, read_depth())
+        y2 = step_gate(cfg.gate_y0, cfg.gate_speed, cfg.gate_bound, dt)[0]
+        m = Measurement(cfg.gate_y0, y2, 0.0, dt, read_depth())
         return m, 2.0 * cfg.sensing_dt
 
     frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
-    sim = EventCameraSim(
-        cfg, start_time=-cfg.sensing_dt, gate=rewind_gate(cfg.gate(), cfg.sensing_dt)
-    )
+    # the gate one bin before the episode: fold it back with its velocity negated
+    y, velocity = step_gate(cfg.gate_y0, -cfg.gate_speed, cfg.gate_bound, cfg.sensing_dt)
+    sim = EventCameraSim(cfg, start_time=-cfg.sensing_dt, gate=(y, -velocity))
     tracker = SnnGateTracker(sim.camera)
     tracks: list[GateTrack] = []
     empty_streak = 0
@@ -267,7 +267,7 @@ def run_episode(
 
     t_traj, y_star = traj.duration, float(traj.end[1])
     t_cross = sensing_time + cfg.latency + t_traj
-    miss = abs(y_star - step_gate(cfg.gate(), t_cross).y)
+    miss = abs(y_star - step_gate(cfg.gate_y0, cfg.gate_speed, cfg.gate_bound, t_cross)[0])
     return EpisodeResult(
         success=crossing_success(miss, cfg.gate_radius, cfg.drone_radius),
         energy_J=hover_energy + flight_energy,

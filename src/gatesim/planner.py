@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .scene import GateState, step_gate
+from .scene import step_gate
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,7 @@ class InterceptResult:
 
 
 def _simulate_fold(y2: float, v_r: float, bound: float, t: float) -> float:
-    y2 = float(np.clip(y2, -bound, bound))
-    gate = GateState(y=y2, velocity=v_r, bound=bound)
-    return step_gate(gate, t).y
+    return step_gate(float(np.clip(y2, -bound, bound)), v_r, bound, t)[0]
 
 
 def predict_intercept(inp: PlannerInput) -> InterceptResult:

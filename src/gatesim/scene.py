@@ -1,17 +1,19 @@
 """Synthetic world: a bouncing circular gate, a pinhole camera, and a DVS-style event generator.
 
 The gate is a hoop of fixed radius moving laterally at constant speed between
-two reversal walls.  The camera has fixed intrinsics (500 px focal length,
-640x480 sensor) and looks along -x from the drone, so projection is a few
-scalar formulas.  A simulated event camera watches the gate plane and emits
-per-pixel polarity events whenever the rasterized hoop annulus covers or
-uncovers a pixel between consecutive frames.
+two reversal walls.  Its state is the pair (y, velocity), advanced by
+``step_gate``; every other gate setting is a ``WorldConfig`` field.  The
+camera has fixed intrinsics (500 px focal length, 640x480 sensor) and looks
+along -x from the drone, so projection is a few scalar formulas.  A
+simulated event camera watches the gate plane and emits per-pixel polarity
+events whenever the rasterized hoop annulus covers or uncovers a pixel
+between consecutive frames.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -23,59 +25,28 @@ from .errors import check_integer
 EVENT_DTYPE = np.dtype([("t", "f8"), ("x", "i4"), ("y", "i4"), ("p", "i1")])
 
 
-@dataclass(frozen=True)
-class GateState:
-    """Circular gate bouncing on the lateral interval [-bound, +bound].
-
-    The lateral speed is constant within an episode; only its sign flips at
-    the walls.  ``plane_x`` is the gate plane's position on the depth axis.
-    """
-
-    y: float = 0.0
-    velocity: float = 0.5
-    bound: float = 2.0
-    radius: float = 1.0
-    plane_x: float = -2.0
-
-    def __post_init__(self):
-        # one comparison each, written so that NaN fails it
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not abs(self.y) <= self.bound + 1e-12:
-            raise ValueError("gate position outside [-bound, +bound]")
-        if not math.isfinite(self.velocity):
-            raise ValueError(f"velocity must be finite, got {self.velocity}")
-
-
-def step_gate(state: GateState, dt: float) -> GateState:
-    """Advance the gate by dt with reflective (billiard) bouncing on [-L, +L].
+def step_gate(y: float, velocity: float, bound: float, dt: float) -> tuple[float, float]:
+    """Advance the gate (y, velocity) by dt with reflective (billiard) bouncing on [-bound, +bound].
 
     Total function: any dt >= 0 is folded through the reversal walls, keeping
-    |velocity| unchanged and flipping its sign once per wall contact.
+    |velocity| unchanged and flipping its sign once per wall contact.  The
+    gate runs backwards in time when stepped with its velocity negated.
     """
     if not dt >= 0:
         raise ValueError("dt must be >= 0")
-    if dt == 0.0 or state.velocity == 0.0:
-        return state
-    L = state.bound
-    speed = abs(state.velocity)
+    if dt == 0.0 or velocity == 0.0:
+        return y, velocity
+    L = bound
+    speed = abs(velocity)
     # Phase of the equivalent triangle wave, period 4L in distance traveled.
-    if state.velocity > 0:
-        phase = state.y + L
+    if velocity > 0:
+        phase = y + L
     else:
-        phase = 3.0 * L - state.y
+        phase = 3.0 * L - y
     phase = (phase + speed * dt) % (4.0 * L)
     if phase <= 2.0 * L:
-        return replace(state, y=phase - L, velocity=speed)
-    return replace(state, y=3.0 * L - phase, velocity=-speed)
-
-
-def rewind_gate(state: GateState, dt: float) -> GateState:
-    """Gate state dt seconds in the past (bouncing is time-reversible)."""
-    back = step_gate(replace(state, velocity=-state.velocity), dt)
-    return replace(back, velocity=-back.velocity)
+        return phase - L, speed
+    return 3.0 * L - phase, -speed
 
 
 @dataclass(frozen=True)
@@ -109,19 +80,6 @@ def project_to_pixels(camera: CameraModel, point) -> tuple[float, float]:
             camera.cy - camera.focal_px * float(point[2] - z) / depth)
 
 
-def gate_depth(camera: CameraModel, gate: GateState) -> float:
-    """Distance from the camera to the gate plane along the viewing axis."""
-    return float(camera.position[0] - gate.plane_x)
-
-
-def _check_ring(threshold: float, thickness_px: float) -> None:
-    """Require a coverage threshold in (0, 1] and a positive ring thickness."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"event_threshold must be in (0, 1], got {threshold}")
-    if not thickness_px > 0.0:
-        raise ValueError(f"ring_thickness_px must be positive, got {thickness_px}")
-
-
 # Rounding moves the hypot test and the squared-distance test by a few ulps
 # of the band's outer radius: below 1e-12 px for rings under 1000 px.  So a
 # pixel whose squared distance clears the band's squared edges by a margin of
@@ -129,24 +87,24 @@ def _check_ring(threshold: float, thickness_px: float) -> None:
 _EDGE_MARGIN = 1e-6
 
 
-def _ring_coverage(camera: CameraModel, gates, thickness_px: float, threshold: float):
-    """Candidate pixels of one ring at several lateral positions, and which each covers.
+def _ring_coverage(world: WorldConfig, gate_ys):
+    """Candidate pixels of the world's ring at several lateral positions, and which each covers.
 
     Returns sorted flat indices (row * width + col) and ``covered[k, j]``:
-    whether the anti-aliased coverage of candidate j by ``gates[k]`` (1 inside
-    the band |rho - r| <= thickness/2 around the ring radius, falling off
-    linearly over one pixel outside it) reaches ``threshold`` in (0, 1].  The
-    gates share a radius and a centre row, as a gate moves only laterally.
-    The candidates are each row's columns whose offset from some centre can
-    put them within c = thickness/2 + 0.5 - threshold of the radius, with a
-    pixel to spare on either side.
+    whether the anti-aliased coverage of candidate j by the ring centred at
+    ``gate_ys[k]`` (1 inside the band |rho - r| <= thickness/2 around the ring
+    radius, falling off linearly over one pixel outside it) reaches the
+    world's ``event_threshold``.  The positions share a centre row, as a gate
+    moves only laterally.  The candidates are each row's columns whose offset
+    from some centre can put them within c = thickness/2 + 0.5 - threshold of
+    the radius, with a pixel to spare on either side.
     """
-    _check_ring(threshold, thickness_px)
-    centres = np.array([project_to_pixels(camera, (g.plane_x, g.y, 0.0)) for g in gates])
+    camera = world.camera()
+    centres = np.array([project_to_pixels(camera, (world.gate_plane_x, y, 0.0)) for y in gate_ys])
     pxs, py = centres[:, 0], centres[0, 1]
-    r_px = camera.focal_px * gates[0].radius / gate_depth(camera, gates[0])
-    half = thickness_px / 2.0
-    c = half + 0.5 - threshold
+    r_px = camera.focal_px * world.gate_radius / world.depth
+    half = world.ring_thickness_px / 2.0
+    c = half + 0.5 - world.event_threshold
     outer = r_px + c + 1.0
     inner = max(r_px - c - 1.0, 0.0)
     rows = np.arange(max(math.floor(py - outer), 0), min(math.ceil(py + outer) + 1, camera.height))
@@ -155,16 +113,14 @@ def _ring_coverage(camera: CameraModel, gates, thickness_px: float, threshold: f
     hole = np.sqrt(np.maximum(inner * inner - dy2, 0.0))
     # per row, a left span of columns [lo[:, 0], hi[:, 0]) with
     # hole - 1 <= px - x <= reach + 1 for some centre px, and the mirrored
-    # right one; where the two touch, the left span takes both
+    # right one, which starts no earlier than the left one ends
     lo = np.empty((len(rows), 2))
     hi = np.empty_like(lo)
     lo[:, 0] = np.ceil(pxs.min() - reach) - 1.0
     hi[:, 0] = np.floor(pxs.max() - hole) + 2.0
     lo[:, 1] = np.ceil(pxs.min() + hole) - 1.0
     hi[:, 1] = np.floor(pxs.max() + reach) + 2.0
-    merged = hi[:, 0] >= lo[:, 1]
-    hi[merged, 0] = hi[merged, 1]
-    hi[merged, 1] = lo[merged, 1]
+    lo[:, 1] = np.maximum(lo[:, 1], hi[:, 0])
     lo = np.clip(lo, 0, camera.width).astype(np.int64).ravel()
     lengths = np.maximum(np.clip(hi, 0, camera.width).astype(np.int64).ravel() - lo, 0)
 
@@ -181,29 +137,27 @@ def _ring_coverage(camera: CameraModel, gates, thickness_px: float, threshold: f
     k, j = np.divmod(np.flatnonzero(edge), len(xs))
     rho = np.hypot(xs[j] - pxs[k], ys[j] - py)
     # for a threshold in (0, 1], clipping the coverage to [0, 1] changes no pixel
-    covered[k, j] = half + 0.5 - np.abs(rho - r_px) >= threshold
+    covered[k, j] = half + 0.5 - np.abs(rho - r_px) >= world.event_threshold
     return ys * camera.width + xs, covered
 
 
-def annulus_mask(
-    camera: CameraModel, gate: GateState, thickness_px: float, threshold: float
-) -> np.ndarray:
-    """The ring's covered pixels as sorted flat indices (row * width + col); see _ring_coverage.
-
-    ``thickness_px`` and ``threshold`` are a world's ``ring_thickness_px``
-    and ``event_threshold``."""
-    pixels, covered = _ring_coverage(camera, [gate], thickness_px, threshold)
+def annulus_mask(world: WorldConfig, y: float) -> np.ndarray:
+    """The world's ring centred at lateral position ``y``: its covered pixels
+    as sorted flat indices (row * width + col); see _ring_coverage."""
+    if not math.isfinite(y):
+        raise ValueError(f"gate position must be finite, got {y}")
+    pixels, covered = _ring_coverage(world, [y])
     return pixels[covered[0]]
 
 
-def annulus_bbox(camera: CameraModel, gate: GateState, thickness_px: float, threshold: float):
+def annulus_bbox(world: WorldConfig, y: float):
     """Pixel bounding box (x_min, x_max, y_min, y_max) of the visible annulus, or None."""
-    pixels = annulus_mask(camera, gate, thickness_px, threshold)
+    pixels = annulus_mask(world, y)
     if not len(pixels):
         return None
-    xs = pixels % camera.width
+    xs = pixels % CameraModel.width
     return (int(xs.min()), int(xs.max()),
-            int(pixels[0] // camera.width), int(pixels[-1] // camera.width))
+            int(pixels[0] // CameraModel.width), int(pixels[-1] // CameraModel.width))
 
 
 def events_to_frame(events: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +212,6 @@ class WorldConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.drone_x <= self.gate_plane_x:
             raise ValueError(f"drone_x = {self.drone_x} is not in front of gate_plane_x")
-        # GateState's checks, naming the config fields
         if self.gate_bound <= 0:
             raise ValueError(f"gate_bound must be positive, got {self.gate_bound}")
         if self.gate_radius <= 0:
@@ -269,7 +222,10 @@ class WorldConfig:
         bins = self.sensing_dt / self.frame_dt if self.frame_dt > 0 else 0.0
         if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
             raise ValueError("sensing_dt must be a positive integer multiple of frame_dt")
-        _check_ring(self.event_threshold, self.ring_thickness_px)
+        if not 0.0 < self.event_threshold <= 1.0:
+            raise ValueError(f"event_threshold must be in (0, 1], got {self.event_threshold}")
+        if not self.ring_thickness_px > 0.0:
+            raise ValueError(f"ring_thickness_px must be positive, got {self.ring_thickness_px}")
         if self.spurious_rate < 0:
             raise ValueError(f"spurious_rate must be >= 0, got {self.spurious_rate}")
         check_integer("seed", self.seed, 0)
@@ -278,12 +234,6 @@ class WorldConfig:
     def depth(self) -> float:
         return self.drone_x - self.gate_plane_x
 
-    def gate(self) -> GateState:
-        return GateState(
-            self.gate_y0, self.gate_speed, self.gate_bound,
-            self.gate_radius, self.gate_plane_x,
-        )
-
     def camera(self) -> CameraModel:
         return CameraModel(position=(self.drone_x, self.drone_y, 0.0))
 
@@ -291,33 +241,37 @@ class WorldConfig:
 class EventCameraSim:
     """Frame-stepped event generator for one world.
 
-    Frames are spaced ``frame_dt`` apart; each frame advances the gate and
-    emits the coverage-change events, timestamped at the new frame time.
-    Optionally injects spurious events at uniformly random pixels.
+    Frames are spaced ``frame_dt`` apart; each frame advances the gate's
+    (y, velocity) pair with ``step_gate`` and emits the coverage-change
+    events, timestamped at the new frame time.  ``gate`` defaults to
+    ``(gate_y0, gate_speed)``.  Optionally injects spurious events at
+    uniformly random pixels.
     """
 
     def __init__(self, config: WorldConfig, start_time: float = 0.0,
-                 gate: GateState | None = None):
+                 gate: tuple[float, float] | None = None):
         self.config = config
         self.camera = config.camera()
         self.time = start_time
-        self.gate = gate if gate is not None else config.gate()
+        self.gate = gate if gate is not None else (config.gate_y0, config.gate_speed)
         self._rng = np.random.default_rng(config.seed)
 
-    def step(self, frames: int = 1) -> tuple[float, GateState, np.ndarray]:
-        """Advance ``frames`` frames; returns (last frame time, its gate state, events):
+    def step(self, frames: int = 1) -> tuple[float, tuple[float, float], np.ndarray]:
+        """Advance ``frames`` frames; returns (last frame time, its gate (y, velocity), events):
         frame by frame, the coverage changes in row-major order, +1 where the
         new frame covers, then that frame's spurious events."""
         check_integer("frames", frames, 1)
         cfg = self.config
-        gates, times = [self.gate], []
+        # one fold per frame: the position at t * k directly would round differently
+        y, velocity = self.gate
+        gate_ys, times = [y], []
         for _ in range(frames):
-            gates.append(step_gate(gates[-1], cfg.frame_dt))
+            y, velocity = step_gate(y, velocity, cfg.gate_bound, cfg.frame_dt)
+            gate_ys.append(y)
             self.time += cfg.frame_dt
             times.append(self.time)
-        self.gate = gates[-1]
-        pixels, covered = _ring_coverage(
-            self.camera, gates, cfg.ring_thickness_px, cfg.event_threshold)
+        self.gate = y, velocity
+        pixels, covered = _ring_coverage(cfg, gate_ys)
         frame, j = np.divmod(np.flatnonzero(covered[1:] != covered[:-1]), len(pixels))
         events = np.empty(len(j), dtype=EVENT_DTYPE)
         events["t"] = np.array(times)[frame]

@@ -4,6 +4,7 @@ Each test prints a single [PASS]/[FAIL] line (visible with ``pytest -s``).
 Budgets are asserted alongside the numeric tolerances.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from gatesim.motor import (
     motor_power,
 )
 from gatesim.planner import MinJerkTrajectory, PlannerInput, predict_intercept, sample_arrays
-from gatesim.scene import EventCameraSim, GateState, WorldConfig, annulus_bbox, step_gate
+from gatesim.scene import EventCameraSim, WorldConfig, annulus_bbox, step_gate
 from gatesim.tracker import lif_step, track_bbox
 from gatesim.scene import events_to_frame
 
@@ -215,7 +216,7 @@ def test_criterion_7_intercept_oracle():
         res = predict_intercept(PlannerInput(t_traj, L, y1, y2, dt))
         if res.clamped:
             continue
-        truth = step_gate(GateState(y=y2, velocity=v, bound=L), t_traj).y
+        truth = step_gate(y2, v, L, t_traj)[0]
         worst = max(worst, abs(res.y_star - truth))
         checked += 1
 
@@ -290,23 +291,21 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
     membrane = np.zeros(cam.shape)
     prev_pixels = None
     prev_mid = None
-    state = cfg.gate()
     ious = []
     for _ in range(n_bins):
-        mid_state = step_gate(state, cfg.sensing_dt / 2)
+        mid_y = step_gate(*sim.gate, cfg.gate_bound, cfg.sensing_dt / 2)[0]
         events = np.concatenate([sim.step()[2] for _ in range(10)])
-        state = sim.gate
         pixels, counts = events_to_frame(events, cam.shape)
         membrane, spikes = lif_step(membrane, pixels, counts)
         if prev_pixels is not None and prev_mid is not None:
             box = track_bbox(spikes, prev_pixels)
-            truth = annulus_bbox(cam, prev_mid, cfg.ring_thickness_px, cfg.event_threshold)
+            truth = annulus_bbox(cfg, prev_mid)
             if box is not None and truth is not None:
                 ious.append(
                     box_iou((box.x_min, box.x_max, box.y_min, box.y_max), truth)
                 )
         prev_pixels = pixels
-        prev_mid = mid_state
+        prev_mid = mid_y
     return float(np.mean(ious)) if ious else 0.0
 
 
@@ -358,6 +357,31 @@ def test_criterion_10_closed_loop_trends(full_models):
         f"(c) min-cell ok={c_min_ok} ratio {ratio:.2f}; "
         f"(d) event>=depth in {wins}/{len(ev)} cells; {elapsed:.0f}s",
     )
+
+
+# The default suite CSVs, bit for bit.  A change that moves simulated outputs
+# on purpose updates these once, together with perfbench/reference.json.
+SUITE_CSV_SHA256 = {
+    "benchmark": "b9f2c7ed9f8cc44bd93cc646b9f42d092f579e6ecc313ed0be20c4ed4c8aa641",
+    "ablation": "212f7614445e630d3df38eaa054d7d0c804e7fdc7caeca73844f477d84d002bf",
+}
+
+
+def test_default_suite_csvs_pinned(tmp_path, monkeypatch, full_models):
+    # the commands get this module's models instead of training them again
+    calls = []
+
+    def build_default_models(**kwargs):
+        calls.append(kwargs)
+        return full_models
+
+    monkeypatch.setattr(harness, "build_default_models", build_default_models)
+    for command, digest in SUITE_CSV_SHA256.items():
+        out = tmp_path / f"{command}.csv"
+        assert cli_main([command, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+    # the defaults full_models was trained with
+    assert calls == [{"seed": 0, "epochs": 2000}] * 2
 
 
 def test_criterion_11_csv_determinism(tmp_path):

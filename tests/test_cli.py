@@ -39,6 +39,22 @@ def test_profile_energy_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_profile_energy_rejects_a_repeated_depth(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    assert main(["profile-energy", "--depth", "4", "--depth", "4.0", "--out", str(out)]) == 1
+    assert "--depth 4.0 is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_profile_energy_rejects_a_non_numeric_depth(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["profile-energy", "--depth", "four", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--depth: invalid float value: 'four'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_pgnn(tmp_path):
     params_path = tmp_path / "params.npz"
     curve_path = tmp_path / "curve.csv"

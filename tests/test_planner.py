@@ -11,7 +11,7 @@ from gatesim.planner import (
     sample_arrays,
     write_trajectory_csv,
 )
-from gatesim.scene import GateState, step_gate
+from gatesim.scene import step_gate
 
 
 def two_branch_intercept(inp: PlannerInput) -> InterceptResult:
@@ -25,8 +25,7 @@ def two_branch_intercept(inp: PlannerInput) -> InterceptResult:
     L, y2 = inp.bound, inp.y2
 
     def fold():
-        gate = GateState(y=float(np.clip(y2, -L, L)), velocity=v_r, bound=L)
-        return step_gate(gate, inp.t_traj).y
+        return step_gate(float(np.clip(y2, -L, L)), v_r, L, inp.t_traj)[0]
 
     if y2 > inp.y1:
         if y2 > 0:
@@ -112,7 +111,7 @@ class TestPredictIntercept:
         res = predict_intercept(PlannerInput(t_traj, L, y1, y2, dt))
         if res.clamped:
             return
-        truth = step_gate(GateState(y=y2, velocity=v, bound=L), t_traj).y
+        truth = step_gate(y2, v, L, t_traj)[0]
         assert res.y_star == pytest.approx(truth, abs=1e-9)
         assert abs(res.y_star) <= L + 1e-9
 
@@ -142,9 +141,17 @@ class TestPredictIntercept:
         inp = PlannerInput(t_traj=9.0, bound=2.0, y1=0.4, y2=0.5, dt=0.1)
         res = predict_intercept(inp)
         assert res.clamped
-        truth = step_gate(GateState(y=0.5, velocity=1.0, bound=2.0), 9.0).y
+        truth = step_gate(0.5, 1.0, 2.0, 9.0)[0]
         assert res.y_star == pytest.approx(truth, abs=1e-9)
         assert abs(res.y_star) <= 2.0
+
+    def test_clamped_fold_starts_at_the_wall(self):
+        # y2 lies past the wall but within PlannerInput's 1e-9 tolerance; the
+        # fold starts from the wall, which moves y* by 5e-10 here
+        y2 = 2.0 + 5e-10
+        res = predict_intercept(PlannerInput(t_traj=9.0, bound=2.0, y1=1.0, y2=y2, dt=1.0))
+        assert res.clamped
+        assert res.y_star == step_gate(2.0, (y2 - 1.0) / 1.0, 2.0, 9.0)[0]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -9,14 +9,11 @@ from gatesim.scene import (
     EVENT_DTYPE,
     CameraModel,
     EventCameraSim,
-    GateState,
     WorldConfig,
     annulus_bbox,
     annulus_mask,
     events_to_frame,
-    gate_depth,
     project_to_pixels,
-    rewind_gate,
     step_gate,
     write_events_csv,
 )
@@ -24,54 +21,54 @@ from gatesim.scene import (
 
 class TestStepGate:
     def test_no_wall_contact(self):
-        out = step_gate(GateState(y=0.0, velocity=1.0, bound=2.0), 1.0)
-        assert out.y == pytest.approx(1.0)
-        assert out.velocity == pytest.approx(1.0)
+        y, velocity = step_gate(0.0, 1.0, 2.0, 1.0)
+        assert y == pytest.approx(1.0)
+        assert velocity == pytest.approx(1.0)
 
     def test_reflection(self):
         # 1.5 -> 2.0 -> back to 1.5 with the velocity flipped
-        out = step_gate(GateState(y=1.5, velocity=1.0, bound=2.0), 1.0)
-        assert out.y == pytest.approx(1.5)
-        assert out.velocity == pytest.approx(-1.0)
+        y, velocity = step_gate(1.5, 1.0, 2.0, 1.0)
+        assert y == pytest.approx(1.5)
+        assert velocity == pytest.approx(-1.0)
 
     def test_full_period(self):
-        out = step_gate(GateState(y=0.0, velocity=1.0, bound=2.0), 8.0)
-        assert out.y == pytest.approx(0.0)
-        assert out.velocity == pytest.approx(1.0)
+        y, velocity = step_gate(0.0, 1.0, 2.0, 8.0)
+        assert y == pytest.approx(0.0)
+        assert velocity == pytest.approx(1.0)
 
     def test_periodicity_over_three_periods(self):
-        state = GateState(y=0.7, velocity=1.3, bound=2.0)
-        period = 4.0 * state.bound / abs(state.velocity)
+        y0, v0, bound = 0.7, 1.3, 2.0
+        period = 4.0 * bound / abs(v0)
         for k in range(1, 4):
-            out = step_gate(state, k * period)
-            assert out.y == pytest.approx(state.y, abs=1e-9)
-            assert out.velocity == pytest.approx(state.velocity, abs=1e-9)
+            y, velocity = step_gate(y0, v0, bound, k * period)
+            assert y == pytest.approx(y0, abs=1e-9)
+            assert velocity == pytest.approx(v0, abs=1e-9)
 
     def test_zero_dt_and_stationary(self):
-        state = GateState(y=0.3, velocity=0.0, bound=2.0)
-        assert step_gate(state, 5.0) == state
-        state = GateState(y=0.3, velocity=1.0, bound=2.0)
-        assert step_gate(state, 0.0) == state
+        assert step_gate(0.3, 0.0, 2.0, 5.0) == (0.3, 0.0)
+        assert step_gate(0.3, 1.0, 2.0, 0.0) == (0.3, 1.0)
 
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
-            step_gate(GateState(), -0.1)
+            step_gate(0.0, 0.5, 2.0, -0.1)
         with pytest.raises(ValueError):
-            step_gate(GateState(), float("nan"))
+            step_gate(0.0, 0.5, 2.0, float("nan"))
 
     @pytest.mark.parametrize("overrides", [
-        {"y": 2.5}, {"y": float("nan")}, {"bound": 0.0, "y": 0.0},
-        {"bound": float("nan"), "y": 0.0}, {"radius": 0.0}, {"radius": float("nan")},
+        {"gate_y0": 2.5}, {"gate_y0": float("nan")}, {"gate_bound": 0.0, "gate_y0": 0.0},
+        {"gate_bound": float("nan"), "gate_y0": 0.0}, {"gate_radius": 0.0},
+        {"gate_radius": float("nan")},
     ])
     def test_gate_settings_rejected(self, overrides):
-        with pytest.raises(ValueError):
-            GateState(**overrides)
+        # the world's fields are the gate's only settings, and their only check
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            WorldConfig(**overrides)
 
     @pytest.mark.parametrize("velocity", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_velocity_rejected(self, velocity):
-        # not left to the first step, whose position check would name the wrong field
-        with pytest.raises(ValueError, match="velocity must be finite"):
-            GateState(velocity=velocity)
+        # step_gate does not check the velocity, so the world must
+        with pytest.raises(ValueError, match="gate_speed must be finite"):
+            WorldConfig(gate_speed=velocity)
 
     @given(
         y=st.floats(-2.0, 2.0),
@@ -80,18 +77,17 @@ class TestStepGate:
     )
     @settings(max_examples=200, deadline=None)
     def test_stays_bounded_and_conserves_speed(self, y, v, dt):
-        state = GateState(y=y, velocity=v, bound=2.0)
-        out = step_gate(state, dt)
-        assert abs(out.y) <= state.bound + 1e-9
-        assert abs(out.velocity) == pytest.approx(abs(v), abs=1e-12)
+        out_y, out_v = step_gate(y, v, 2.0, dt)
+        assert abs(out_y) <= 2.0 + 1e-9
+        assert abs(out_v) == pytest.approx(abs(v), abs=1e-12)
 
     def test_rewind_roundtrip(self):
-        state = GateState(y=1.2, velocity=-0.8, bound=2.0)
+        # folding with the velocity negated runs the gate backwards
         for dt in (0.05, 1.0, 3.7, 11.0):
-            back = rewind_gate(state, dt)
-            fwd = step_gate(back, dt)
-            assert fwd.y == pytest.approx(state.y, abs=1e-9)
-            assert fwd.velocity == pytest.approx(state.velocity, abs=1e-9)
+            back_y, back_v = step_gate(1.2, 0.8, 2.0, dt)
+            y, velocity = step_gate(back_y, -back_v, 2.0, dt)
+            assert y == pytest.approx(1.2, abs=1e-9)
+            assert velocity == pytest.approx(-0.8, abs=1e-9)
 
 
 class TestProjection:
@@ -143,7 +139,7 @@ class TestEventGeneration:
 
     def test_moving_gate_produces_polarized_events(self):
         _, moved, events = EventCameraSim(self.cfg).step()
-        assert moved.y == step_gate(self.cfg.gate(), 0.01).y
+        assert moved == step_gate(self.cfg.gate_y0, self.cfg.gate_speed, self.cfg.gate_bound, 0.01)
         assert len(events) > 0
         assert set(np.unique(events["p"])) <= {-1, 1}
         assert np.all(events["p"] != 0)
@@ -151,11 +147,8 @@ class TestEventGeneration:
     def test_events_inside_union_of_annuli(self):
         # brute-force containment oracle: rasterize both annuli
         cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, drone_x=2.0, frame_dt=0.05)
-        gate = cfg.gate()
         _, moved, events = EventCameraSim(cfg).step()  # several-pixel displacement
-        ring = cfg.ring_thickness_px, cfg.event_threshold
-        union = np.union1d(annulus_mask(self.cam, gate, *ring),
-                           annulus_mask(self.cam, moved, *ring))
+        union = np.union1d(annulus_mask(cfg, cfg.gate_y0), annulus_mask(cfg, moved[0]))
         assert len(events) > 0
         assert np.isin(events["y"] * self.cam.width + events["x"], union).all()
 
@@ -231,9 +224,7 @@ def test_event_record_of_a_hand_built_bin():
 class TestAnnulus:
     def test_ring_radius_in_pixels(self):
         cfg = WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0)
-        cam = cfg.camera()
-        ys, xs = np.divmod(
-            annulus_mask(cam, cfg.gate(), cfg.ring_thickness_px, cfg.event_threshold), cam.width)
+        ys, xs = np.divmod(annulus_mask(cfg, cfg.gate_y0), CameraModel.width)
         rho = np.hypot(xs - 320.0, ys - 240.0)
         r_expected = 500.0 * 1.0 / 4.0  # focal * radius / depth
         assert rho.min() == pytest.approx(r_expected - 1.0, abs=1.0)
@@ -241,40 +232,43 @@ class TestAnnulus:
 
     def test_bbox_matches_mask(self):
         cfg = WorldConfig(gate_y0=0.5, gate_speed=0.0, drone_x=2.0)
-        cam = cfg.camera()
-        ring = cfg.ring_thickness_px, cfg.event_threshold
-        box = annulus_bbox(cam, cfg.gate(), *ring)
-        ys, xs = np.divmod(annulus_mask(cam, cfg.gate(), *ring), cam.width)
+        box = annulus_bbox(cfg, cfg.gate_y0)
+        ys, xs = np.divmod(annulus_mask(cfg, cfg.gate_y0), CameraModel.width)
         assert box == (xs.min(), xs.max(), ys.min(), ys.max())
 
     def test_invisible_gate_has_no_bbox(self):
-        cam = CameraModel(position=(2.0, -30.0, 0.0))
-        assert annulus_bbox(cam, GateState(y=2.0, velocity=0.0), 2.0, 0.5) is None
+        assert annulus_bbox(WorldConfig(drone_y=-30.0), 2.0) is None
+
+    @pytest.mark.parametrize("y", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_position_rejected(self, y):
+        for render in (annulus_mask, annulus_bbox):
+            with pytest.raises(ValueError, match="gate position must be finite"):
+                render(WorldConfig(), y)
 
     @staticmethod
-    def _reference_mask(camera, gate, thickness_px, threshold):
+    def _reference_mask(world, y):
         """Full-frame anti-aliased coverage, clipped to [0, 1], then thresholded."""
-        px, py = project_to_pixels(camera, (gate.plane_x, gate.y, 0.0))
-        r_px = camera.focal_px * gate.radius / gate_depth(camera, gate)
+        camera = world.camera()
+        px, py = project_to_pixels(camera, (world.gate_plane_x, y, 0.0))
+        r_px = camera.focal_px * world.gate_radius / world.depth
         ys, xs = np.mgrid[0:camera.height, 0:camera.width]
-        band = thickness_px / 2.0 + 0.5 - np.abs(np.hypot(xs - px, ys - py) - r_px)
-        return np.clip(band, 0.0, 1.0) >= threshold
+        band = world.ring_thickness_px / 2.0 + 0.5 - np.abs(np.hypot(xs - px, ys - py) - r_px)
+        return np.clip(band, 0.0, 1.0) >= world.event_threshold
 
     def test_mask_equals_clipped_full_frame_coverage(self):
         rng = np.random.default_rng(0)
         for i in range(150):
-            cam = CameraModel(position=(rng.uniform(-1.5, 8.0), rng.uniform(-4.0, 4.0), 0.0))
-            gate = GateState(y=rng.uniform(-2.0, 2.0), velocity=0.0,
-                             radius=rng.uniform(0.3, 1.5))
+            drone_x, drone_y = rng.uniform(-1.5, 8.0), rng.uniform(-4.0, 4.0)
+            y, radius = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.5)
             threshold = 1.0 if i % 10 == 0 else rng.uniform(1e-6, 1.0)
             thickness = rng.uniform(0.5, 4.0)
-            expected = self._reference_mask(cam, gate, thickness, threshold)
-            np.testing.assert_array_equal(annulus_mask(cam, gate, thickness, threshold),
-                                          np.flatnonzero(expected))
+            world = WorldConfig(drone_x=drone_x, drone_y=drone_y, gate_y0=y, gate_radius=radius,
+                                event_threshold=threshold, ring_thickness_px=thickness)
+            expected = self._reference_mask(world, y)
+            np.testing.assert_array_equal(annulus_mask(world, y), np.flatnonzero(expected))
 
     def test_off_screen_ring_covers_nothing(self):
-        cam = CameraModel(position=(2.0, -30.0, 0.0))
-        pixels = annulus_mask(cam, GateState(y=2.0, velocity=0.0), 2.0, 0.5)
+        pixels = annulus_mask(WorldConfig(drone_y=-30.0), 2.0)
         assert pixels.dtype == np.int64 and len(pixels) == 0
 
     @pytest.mark.parametrize("threshold, thickness, name", [
@@ -282,9 +276,6 @@ class TestAnnulus:
         (0.5, 0.0, "ring_thickness_px"), (0.5, -1.0, "ring_thickness_px"),
     ])
     def test_ring_settings_rejected(self, threshold, thickness, name):
-        gate = GateState(velocity=0.0)
-        with pytest.raises(ValueError, match=name):
-            annulus_mask(CameraModel(), gate, thickness, threshold)
         with pytest.raises(ValueError, match=name):
             WorldConfig(gate_y0=0.0, gate_speed=0.0, event_threshold=threshold,
                         ring_thickness_px=thickness)
@@ -293,16 +284,12 @@ class TestAnnulus:
 class _DenseEventCamera(EventCameraSim):
     """The full-frame event path: dense masks, XOR, nonzero, then spurious events."""
 
-    def _dense_mask(self, gate):
-        cfg = self.config
-        return TestAnnulus._reference_mask(
-            self.camera, gate, cfg.ring_thickness_px, cfg.event_threshold)
-
     def step(self):
-        before = self._dense_mask(self.gate)
-        self.gate = step_gate(self.gate, self.config.frame_dt)
-        self.time += self.config.frame_dt
-        after = self._dense_mask(self.gate)
+        cfg = self.config
+        before = TestAnnulus._reference_mask(cfg, self.gate[0])
+        self.gate = step_gate(*self.gate, cfg.gate_bound, cfg.frame_dt)
+        self.time += cfg.frame_dt
+        after = TestAnnulus._reference_mask(cfg, self.gate[0])
         ys, xs = np.nonzero(before ^ after)
         events = np.empty(len(ys), dtype=EVENT_DTYPE)
         events["t"] = self.time
@@ -369,7 +356,7 @@ def test_step_frames_must_be_a_positive_integer(frames):
     sim = EventCameraSim(WorldConfig())
     with pytest.raises(ValueError, match="frames"):
         sim.step(frames)
-    assert sim.time == 0.0 and sim.gate == WorldConfig().gate()
+    assert sim.time == 0.0 and sim.gate == (WorldConfig().gate_y0, WorldConfig().gate_speed)
 
 
 def _edge_worlds():
@@ -420,18 +407,16 @@ EDGE_WORLDS = _edge_worlds()
 @pytest.mark.parametrize("world", list(EDGE_WORLDS.values()), ids=list(EDGE_WORLDS))
 def test_band_edge_ties_match_reference(world):
     cfg = WorldConfig(**world)
-    cam, gate = cfg.camera(), cfg.gate()
+    cam = cfg.camera()
     # the world puts some pixel within 1e-6 px of a band edge
-    px, py = project_to_pixels(cam, (gate.plane_x, gate.y, 0.0))
-    r_px = cam.focal_px * gate.radius / gate_depth(cam, gate)
+    px, py = project_to_pixels(cam, (cfg.gate_plane_x, cfg.gate_y0, 0.0))
+    r_px = cam.focal_px * cfg.gate_radius / cfg.depth
     c = cfg.ring_thickness_px / 2.0 + 0.5 - cfg.event_threshold
     ys, xs = np.mgrid[0:cam.height, 0:cam.width]
     assert (np.abs(np.abs(np.hypot(xs - px, ys - py) - r_px) - c) < 1e-6).any()
 
-    expected = TestAnnulus._reference_mask(cam, gate, cfg.ring_thickness_px, cfg.event_threshold)
-    np.testing.assert_array_equal(
-        annulus_mask(cam, gate, cfg.ring_thickness_px, cfg.event_threshold),
-        np.flatnonzero(expected))
+    expected = TestAnnulus._reference_mask(cfg, cfg.gate_y0)
+    np.testing.assert_array_equal(annulus_mask(cfg, cfg.gate_y0), np.flatnonzero(expected))
     batched, single, dense = EventCameraSim(cfg), EventCameraSim(cfg), _DenseEventCamera(cfg)
     for _ in range(2):
         t, gate, events = batched.step(5)
@@ -453,8 +438,9 @@ def test_world_settings_rejected(overrides, name):
 
 
 def test_world_gate_accepts_gate_state_bounds():
+    # a start 1e-13 past the wall is within the world's 1e-12 tolerance
     cfg = WorldConfig(gate_y0=-2.0 - 1e-13, gate_bound=2.0)
-    assert cfg.gate() == GateState(y=-2.0 - 1e-13, velocity=0.5, bound=2.0)
+    assert EventCameraSim(cfg).gate == (-2.0 - 1e-13, 0.5)
 
 
 def test_events_csv_format(tmp_path):

@@ -271,24 +271,24 @@ class TestTrackerPipeline:
         sim = EventCameraSim(cfg)
         tracker = SnnGateTracker(cfg.camera())
         frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
-        boxes, states = [], []
+        boxes, gate_ys = [], []
         for _ in range(n_bins):
             events = np.concatenate([sim.step()[2] for _ in range(frames_per_bin)])
             boxes.append(tracker.process_bin(events))
-            states.append(sim.gate)
-        return boxes, states
+            gate_ys.append(sim.gate[0])
+        return boxes, gate_ys
 
     def test_moving_gate_is_tracked_near_truth(self):
         cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
-        boxes, states = self._run_bins(cfg, 8)
+        boxes, gate_ys = self._run_bins(cfg, 8)
         found = [b for b in boxes if b is not None]
         assert len(found) >= 5
         # back-project each box center at the true depth and compare it with
         # the gate's lateral position around that bin
-        for box, state in zip(boxes[2:], states[2:]):
+        for box, gate_y in zip(boxes[2:], gate_ys[2:]):
             if box is not None:
                 world_y = pixel_to_world_y(box.center, cfg.depth, cfg.camera())
-                assert abs(world_y - state.y) < 0.25
+                assert abs(world_y - gate_y) < 0.25
 
     def test_first_bin_never_tracks(self):
         cfg = WorldConfig(gate_y0=0.0, gate_speed=0.5, gate_bound=2.0, drone_x=2.0)
