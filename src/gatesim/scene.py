@@ -70,14 +70,17 @@ def project_to_pixels(camera: CameraModel, point) -> tuple[float, float]:
     """Project a world point to (sub-pixel) image coordinates.
 
     The result may lie outside the sensor bounds; callers clip.  Raises
-    ValueError for points at or behind the camera plane.
+    ValueError for a point at or behind the camera plane or a non-finite one.
     """
     x, y, z = camera.position
     depth = float(x - point[0])
-    if depth <= 0:
-        raise ValueError(f"point depth {depth} is not positive")
-    return (camera.cx + camera.focal_px * float(point[1] - y) / depth,
-            camera.cy - camera.focal_px * float(point[2] - z) / depth)
+    if not 0 < depth < math.inf:
+        raise ValueError(f"point depth {depth} is not positive and finite")
+    dy, dz = float(point[1] - y), float(point[2] - z)
+    if not (-math.inf < dy < math.inf and -math.inf < dz < math.inf):
+        raise ValueError(f"point offset ({dy}, {dz}) from the camera is not finite")
+    return (camera.cx + camera.focal_px * dy / depth,
+            camera.cy - camera.focal_px * dz / depth)
 
 
 # Rounding moves the hypot test and the squared-distance test by a few ulps

@@ -13,10 +13,14 @@ event pixels as sorted, unique flat indices, and their counts.  ``lif_step``
 updates, in place, the crop of the full-sensor membrane the tracker hands it;
 its kernel drive is scattered from the record, so its cost follows the pixels
 that saw an event, not the crop's area, with the bits of a dense correlation.
+``track_bbox`` reads the crop's spike frame, dilated by 3x3 in one row and one
+column pass, at the previous bin's event pixels; clipped neighbours land on
+other neighbours, so this is a 3x3 maximum filter of the spikes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -107,10 +111,6 @@ class BoundingBox:
                 self.y_min + (self.y_max - self.y_min) // 2)
 
 
-# row and column offsets of a pixel's 3x3 neighbourhood
-_NEIGHBOUR_DY, _NEIGHBOUR_DX = np.mgrid[-1:2, -1:2].reshape(2, 9)
-
-
 def track_bbox(spikes: np.ndarray, prev_pixels: np.ndarray) -> BoundingBox | None:
     """Box over the previous bin's events recovered around spiking neurons.
 
@@ -118,10 +118,11 @@ def track_bbox(spikes: np.ndarray, prev_pixels: np.ndarray) -> BoundingBox | Non
     the spike frame, as ``events_to_frame`` records them; one outside the
     frame raises ValueError.  Event pixels within the 3x3 neighborhood of
     any spiking neuron are recovered (one-bin delay); returns None when
-    nothing spiked or no events fall in the spiking neighborhoods.  Only the
-    spikes' neighbours are read: clipping an off-frame neighbour to the frame
-    lands on the pixel beside it, itself a neighbour, so the recovered set is
-    that of a 3x3 maximum filter of the spikes masked by the events.
+    nothing spiked or no events fall in the spiking neighborhoods.  The spike
+    frame, dilated by 3x3 (rows, then columns) within the frame, is read at
+    those pixels: clipping an off-frame neighbour to the frame lands on the
+    pixel beside it, itself a neighbour, so the recovered set is that of a
+    3x3 maximum filter of the spikes masked by the events.
     """
     spikes = np.asarray(spikes, dtype=bool)
     prev_pixels = np.asarray(prev_pixels)
@@ -129,24 +130,22 @@ def track_bbox(spikes: np.ndarray, prev_pixels: np.ndarray) -> BoundingBox | Non
     if prev_pixels.dtype.kind not in "iu" or len(prev_pixels) and not (
             prev_pixels.min() >= 0 and prev_pixels.max() < h * w):
         raise ValueError(f"previous event pixels must be flat indices into the {h}x{w} frame")
-    ys, xs = np.divmod(np.flatnonzero(spikes), w)
+    near = spikes.copy()
+    near[1:] |= spikes[:-1]
+    near[:-1] |= spikes[1:]
+    rows = near.copy()
+    near[:, 1:] |= rows[:, :-1]
+    near[:, :-1] |= rows[:, 1:]
+    ys, xs = np.divmod(prev_pixels[near.ravel()[prev_pixels]], w)
     if not len(ys):
         return None
-    seen = np.zeros(h * w, dtype=bool)
-    seen[prev_pixels] = True
-    ys = np.clip(ys[:, None] + _NEIGHBOUR_DY, 0, h - 1)
-    xs = np.clip(xs[:, None] + _NEIGHBOUR_DX, 0, w - 1)
-    recovered = seen[ys * w + xs]
-    if not recovered.any():
-        return None
-    ys, xs = ys[recovered], xs[recovered]
     return BoundingBox(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
 
 
 def pixel_to_world_y(center: tuple[float, float], depth: float, camera: CameraModel) -> float:
-    """World y (lateral) coordinate of a pixel center back-projected at a known depth."""
-    if depth <= 0:
-        raise ValueError(f"depth {depth} is not positive")
+    """World y (lateral) coordinate of a pixel center back-projected at a positive, finite depth."""
+    if not 0 < depth < math.inf:
+        raise ValueError(f"depth {depth} is not positive and finite")
     return float(camera.position[1] + depth * (center[0] - camera.cx) / camera.focal_px)
 
 

@@ -1,9 +1,11 @@
-"""Every public function or class in ``src/gatesim`` is reached from the package.
+"""Every public function or class in ``src/gatesim`` is reached from the package,
+and so is every private (``_``-prefixed, not dunder) top-level function, class
+or assigned name.
 
 A name counts as reached when some other top-level statement of the package
 refers to it as a name or an attribute (docstrings and imports do not
-count).  A name that only tests or perfbench call must be listed below with
-the reason it stays.
+count).  A public name that only tests or perfbench call must be listed below
+with the reason it stays; a private one has no such list.
 """
 
 import ast
@@ -22,14 +24,38 @@ KEPT_UNREACHED = {
 }
 
 
-def _unreached() -> set:
+def _assigned(target):
+    """The names a top-level assignment target binds (attribute and item targets bind none)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _assigned(elt)]
+    return []
+
+
+def _defined(top):
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, ast.Assign):
+        return [name for target in top.targets for name in _assigned(target)]
+    if isinstance(top, ast.AnnAssign):
+        return _assigned(top.target)
+    return []
+
+
+def _checked(top, private):
+    """The names ``top`` defines that a test checks: public functions and
+    classes, or private (not dunder) functions, classes and assigned names."""
+    if private:
+        return [name for name in _defined(top) if name.startswith("_") and not name.endswith("__")]
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+        return [top.name]
+    return []
+
+
+def _unreached(private: bool) -> set:
     modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    defs = {
-        node.name: node
-        for module in modules
-        for node in module.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    defs = {name: top for module in modules for top in module.body for name in _checked(top, private)}
     reached = set()
     for module in modules:
         for top in module.body:
@@ -46,6 +72,10 @@ def _unreached() -> set:
 
 
 def test_every_public_definition_is_reached_or_listed():
-    unreached = _unreached()
+    unreached = _unreached(private=False)
     assert unreached <= set(KEPT_UNREACHED), "unreached and unlisted"
     assert set(KEPT_UNREACHED) <= unreached, "listed but reached, or gone"
+
+
+def test_every_private_definition_is_reached():
+    assert _unreached(private=True) == set()

@@ -122,6 +122,14 @@ class TestProjection:
         with pytest.raises(ValueError, match="point depth .* is not positive"):
             project_to_pixels(self.cam, (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_coordinate_rejected(self, axis, value):
+        point = [-1.0, 0.5, 0.2]
+        point[axis] = value
+        with pytest.raises(ValueError, match="point .* is not (positive and )?finite"):
+            project_to_pixels(self.cam, tuple(point))
+
     def test_result_may_leave_sensor(self):
         px, _ = project_to_pixels(self.cam, (-1.0, 5.0, 0.0))
         assert px > 640  # caller clips

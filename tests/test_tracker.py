@@ -265,6 +265,11 @@ class TestBackProjection:
         with pytest.raises(ValueError, match="depth 0.0 is not positive"):
             pixel_to_world_y((320, 240), 0.0, self.cam)
 
+    @pytest.mark.parametrize("depth", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, depth):
+        with pytest.raises(ValueError, match=f"depth {depth} is not positive and finite"):
+            pixel_to_world_y((320, 240), depth, self.cam)
+
 
 class TestTrackerPipeline:
     def _run_bins(self, cfg, n_bins):
@@ -469,11 +474,11 @@ def _lif_step_checked(grid, frame):
     return membrane, spikes
 
 
-def _track_bbox_checked(spikes, prev_frame):
-    """track_bbox on the event pixels of the dense ``prev_frame``, asserting
-    its box against the reference on ``prev_frame`` and that it writes
-    neither of its inputs."""
-    prev_pixels = np.flatnonzero(np.asarray(prev_frame) > 0)
+def _track_bbox_checked(spikes, prev_frame, dtype=np.intp):
+    """track_bbox on the event pixels of the dense ``prev_frame``, as flat
+    indices of ``dtype``, asserting its box against the reference on
+    ``prev_frame`` and that it writes neither of its inputs."""
+    prev_pixels = np.flatnonzero(np.asarray(prev_frame) > 0).astype(dtype)
     spikes_before, pixels_before = spikes.copy(), prev_pixels.copy()
     box = track_bbox(spikes, prev_pixels)
     assert box == _track_bbox_reference(spikes, prev_frame)
@@ -568,6 +573,27 @@ class TestTrackBboxOracle:
                 spikes = rng.uniform(size=(48, 64)) < spike_rate
                 prev = (rng.uniform(size=(48, 64)) < event_rate).astype(dtype)
                 _track_bbox_checked(spikes, prev)
+
+
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        spike_density=st.floats(0.0, 1.0),
+        event_density=st.floats(0.0, 1.0),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        contiguous=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_shapes_and_densities(self, shape, spike_density, event_density,
+                                         dtype, contiguous, seed):
+        rng = np.random.default_rng(seed)
+        h, w = shape
+        # the spikes as a column slice of a wider frame, as process_bin's crop
+        # would be, or as a contiguous copy of it
+        wider = rng.uniform(size=(h, w + 2)) < spike_density
+        spikes = wider[:, 1:-1].copy() if contiguous else wider[:, 1:-1]
+        prev = (rng.uniform(size=shape) < event_density).astype(np.int32)
+        _track_bbox_checked(spikes, prev, dtype)
 
 
 def test_lif_step_and_track_bbox_match_reference_on_world_bins(oracle_world, monkeypatch):
