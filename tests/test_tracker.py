@@ -574,7 +574,6 @@ class TestTrackBboxOracle:
                 prev = (rng.uniform(size=(48, 64)) < event_rate).astype(dtype)
                 _track_bbox_checked(spikes, prev)
 
-
     @given(
         shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
         spike_density=st.floats(0.0, 1.0),
@@ -588,8 +587,8 @@ class TestTrackBboxOracle:
                                          dtype, contiguous, seed):
         rng = np.random.default_rng(seed)
         h, w = shape
-        # the spikes as a column slice of a wider frame, as process_bin's crop
-        # would be, or as a contiguous copy of it
+        # the spikes as a non-contiguous column slice of a wider frame, or a
+        # contiguous copy of it
         wider = rng.uniform(size=(h, w + 2)) < spike_density
         spikes = wider[:, 1:-1].copy() if contiguous else wider[:, 1:-1]
         prev = (rng.uniform(size=shape) < event_density).astype(np.int32)
