@@ -70,13 +70,12 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def optimal_velocity(fit: QuinticFit) -> tuple[float, bool]:
+def optimal_velocity(fit: QuinticFit) -> float:
     """Energy-minimizing velocity of the fitted polynomial over its domain.
 
     Stationary points are located by a sign-change scan of dE/dv over 200
     subintervals refined by bisection; the minimum over stationary points and
-    the two endpoints is returned along with a flag marking an endpoint
-    minimum (no interior optimum).
+    the two endpoints is returned.
     """
     k = fit.derivative_coeffs()
     dcoeffs = k * np.arange(1, 6)  # derivative in ascending powers
@@ -96,10 +95,7 @@ def optimal_velocity(fit: QuinticFit) -> tuple[float, bool]:
         candidates.append(fit.v_hi)
 
     energies = [float(fit.energy(v)) for v in candidates]
-    best = int(np.argmin(energies))
-    v_star = float(candidates[best])
-    at_endpoint = best < 2
-    return v_star, at_endpoint
+    return float(candidates[int(np.argmin(energies))])
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def build_dataset(depths, c: EnergyCoefficients, fm: FlightModel) -> list[Traini
     for depth in depths:
         profile = energy_velocity_profile(c, fm, depth)
         fit = fit_quintic(profile)
-        v_star, _ = optimal_velocity(fit)
+        v_star = optimal_velocity(fit)
         samples.append(TrainingSample(depth, v_star, fit.derivative_coeffs()))
     return samples
 

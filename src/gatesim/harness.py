@@ -37,7 +37,6 @@ from .motor import (
 )
 from .planner import (
     MinJerkTrajectory,
-    PlannerInput,
     predict_intercept,
     sample_arrays,
     write_trajectory_csv,
@@ -214,7 +213,7 @@ def plan(cfg: EpisodeConfig, models: PlannerModels, m: Measurement) -> MinJerkTr
     y2 = min(max(m.y2, -L), L)
     v_pred = pgnn_mod.mlp_forward(models.planner_params(cfg.planner_mode), m.depth)
     t_traj = pgnn_mod.trajectory_time(v_pred, m.depth)
-    y_star = predict_intercept(PlannerInput(t_traj, L, y1, y2, m.t2 - m.t1)).y_star
+    y_star = predict_intercept(t_traj, L, y1, y2, m.t2 - m.t1)
     return MinJerkTrajectory([cfg.drone_x, cfg.drone_y], [cfg.gate_plane_x, y_star], t_traj)
 
 

@@ -125,8 +125,8 @@ def mlp_forward(params: MlpParams, depth):
     deterministic; the output is clamped smoothly onto [V_MIN, V_MAX].
     """
     depths = np.asarray(depth, dtype=float)
-    if not (depths > 0).all():
-        raise ValueError("depth must be positive")
+    if not ((depths > 0) & (depths < np.inf)).all():
+        raise ValueError("depth must be positive and finite")
     v, _ = _forward(params, depths, "infer")
     return float(v[0]) if depths.ndim == 0 else v
 
@@ -283,10 +283,10 @@ def train_pgnn(samples, config: TrainConfig = TrainConfig(), *, record_history: 
 
 def trajectory_time(v_pred: float, depth: float) -> float:
     """Planned flight duration: depth / predicted velocity."""
-    if not v_pred > 0:
-        raise ValueError(f"v_pred {v_pred} is not positive")
-    if not depth > 0:
-        raise ValueError(f"depth {depth} is not positive")
+    if not 0 < v_pred < np.inf:
+        raise ValueError(f"v_pred {v_pred} is not positive and finite")
+    if not 0 < depth < np.inf:
+        raise ValueError(f"depth {depth} is not positive and finite")
     return depth / v_pred
 
 

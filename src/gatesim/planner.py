@@ -17,78 +17,39 @@ from .csvio import write_csv
 from .scene import step_gate
 
 
-@dataclass(frozen=True)
-class PlannerInput:
-    """Inputs to the intercept predictor.
+def predict_intercept(t_traj: float, bound: float, y1: float, y2: float, dt: float) -> float:
+    """Crossing point y* of the bouncing gate after the flight time ``t_traj``.
 
     ``y1`` and ``y2`` are consecutive tracked gate centers ``dt`` apart;
-    ``bound`` is the known reversal distance of the gate corridor.
+    ``bound`` is the known reversal distance of the gate corridor.  A
+    stationary gate (y1 == y2) stays at y2.  A left-moving gate is solved as
+    the mirror image of a right-moving one: ``d1`` is the distance the gate
+    travels during the flight, ``d2`` its distance to the approaching wall.
+    Horizons implying two or more wall contacts fall outside the case
+    analysis and fold through ``step_gate`` from the wall-clipped ``y2``.
     """
+    if not 0 < t_traj < np.inf:
+        raise ValueError("t_traj must be positive and finite")
+    if not 0 < bound < np.inf:
+        raise ValueError("bound must be positive and finite")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not all(abs(y) <= bound + 1e-9 for y in (y1, y2)):
+        raise ValueError("tracked positions must lie within [-bound, +bound]")
+    if y1 == y2:
+        return y2
 
-    t_traj: float
-    bound: float
-    y1: float
-    y2: float
-    dt: float
-
-    def __post_init__(self):
-        if not self.t_traj > 0:
-            raise ValueError("t_traj must be positive")
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not all(abs(y) <= self.bound + 1e-9 for y in (self.y1, self.y2)):
-            raise ValueError("tracked positions must lie within [-bound, +bound]")
-
-
-@dataclass(frozen=True)
-class InterceptResult:
-    """Predicted gate-plane crossing point.
-
-    ``d1`` is the distance the gate travels during the flight time, ``d2``
-    its distance to the approaching wall.  ``direction_changed`` marks the
-    bounce branch, ``stationary`` a gate with no measured motion, and
-    ``clamped`` inputs beyond the single-bounce case analysis that were
-    resolved by direct kinematic simulation.
-    """
-
-    y_star: float
-    direction_changed: bool
-    d1: float
-    d2: float
-    stationary: bool = False
-    clamped: bool = False
-
-
-def _simulate_fold(y2: float, v_r: float, bound: float, t: float) -> float:
-    return step_gate(float(np.clip(y2, -bound, bound)), v_r, bound, t)[0]
-
-
-def predict_intercept(inp: PlannerInput) -> InterceptResult:
-    """Case analysis of the bouncing gate over the flight time.
-
-    A stationary gate (y1 == y2) short-circuits to y2.  A left-moving gate
-    is solved as the mirror image of a right-moving one.  Horizons implying
-    two or more wall contacts fall outside the case analysis and are
-    resolved by simulating the bounce kinematics directly (flagged).
-    """
-    if inp.y1 == inp.y2:
-        d2 = inp.bound - abs(inp.y2)
-        return InterceptResult(inp.y2, False, 0.0, d2, stationary=True)
-
-    v_r = (inp.y2 - inp.y1) / inp.dt
-    d1 = abs(v_r) * inp.t_traj
-    L = inp.bound
-    sign = 1.0 if inp.y2 > inp.y1 else -1.0
-    y = sign * inp.y2  # position along the direction of travel
+    v_r = (y2 - y1) / dt
+    d1 = abs(v_r) * t_traj
+    L = bound
+    sign = 1.0 if y2 > y1 else -1.0
+    y = sign * y2  # position along the direction of travel
     d2 = L - y
     if d1 - d2 > 2.0 * L:
-        y_star = _simulate_fold(inp.y2, v_r, L, inp.t_traj)
-        return InterceptResult(y_star, True, d1, d2, clamped=True)
+        return step_gate(float(np.clip(y2, -L, L)), v_r, L, t_traj)[0]
     if d1 > d2:
-        return InterceptResult(sign * (L - d1 + d2), True, d1, d2)
-    return InterceptResult(sign * (y + d1), False, d1, d2)
+        return sign * (L - d1 + d2)
+    return sign * (y + d1)
 
 
 @dataclass(frozen=True)
@@ -110,8 +71,8 @@ class MinJerkTrajectory:
         object.__setattr__(self, "end", np.atleast_1d(np.asarray(self.end, float)))
         if self.start.shape != self.end.shape:
             raise ValueError("start and end must have matching axes")
-        if not self.duration > 0:
-            raise ValueError(f"duration {self.duration} is not positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"duration {self.duration} is not positive and finite")
         if not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive")
 

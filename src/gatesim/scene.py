@@ -213,8 +213,9 @@ class WorldConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.drone_x <= self.gate_plane_x:
-            raise ValueError(f"drone_x = {self.drone_x} is not in front of gate_plane_x")
+        if not 0 < self.depth < math.inf:
+            raise ValueError(f"drone_x = {self.drone_x} is not in front of gate_plane_x = "
+                             f"{self.gate_plane_x} by a finite depth")
         if self.gate_bound <= 0:
             raise ValueError(f"gate_bound must be positive, got {self.gate_bound}")
         if self.gate_radius <= 0:

@@ -19,7 +19,7 @@ from gatesim.motor import (
     hover_rotor_speed,
     motor_power,
 )
-from gatesim.planner import MinJerkTrajectory, PlannerInput, predict_intercept, sample_arrays
+from gatesim.planner import MinJerkTrajectory, predict_intercept, sample_arrays
 from gatesim.scene import EventCameraSim, WorldConfig, annulus_bbox, step_gate
 from gatesim.tracker import lif_step, track_bbox
 from gatesim.scene import events_to_frame
@@ -114,7 +114,7 @@ def test_criterion_4_fit_optimum_oracle(coeffs, flight):
             e = e * (1.0 + rng.normal(0.0, 1e-3, len(v)))
             profile = np.column_stack([v, e])
         fit = fit_quintic(profile)
-        v_star, _ = optimal_velocity(fit)
+        v_star = optimal_velocity(fit)
         grid = np.arange(fit.v_lo, fit.v_hi + 5e-4, 1e-3)
         brute = grid[np.argmin(fit.energy(grid))]
         worst = max(worst, abs(v_star - brute))
@@ -213,17 +213,15 @@ def test_criterion_7_intercept_oracle():
         if abs(y1) > L:
             continue
         t_traj = rng.uniform(0.05, 3.0)
-        res = predict_intercept(PlannerInput(t_traj, L, y1, y2, dt))
-        if res.clamped:
-            continue
+        y_star = predict_intercept(t_traj, L, y1, y2, dt)
         truth = step_gate(y2, v, L, t_traj)[0]
-        worst = max(worst, abs(res.y_star - truth))
+        worst = max(worst, abs(y_star - truth))
         checked += 1
 
     traces = [
-        predict_intercept(PlannerInput(1.0, 2.0, 0.4, 0.5, 0.1)).y_star - 1.5,
-        predict_intercept(PlannerInput(1.0, 2.0, 1.7, 1.8, 0.1)).y_star - 1.2,
-        predict_intercept(PlannerInput(1.0, 2.0, -1.7, -1.8, 0.1)).y_star + 1.2,
+        predict_intercept(1.0, 2.0, 0.4, 0.5, 0.1) - 1.5,
+        predict_intercept(1.0, 2.0, 1.7, 1.8, 0.1) - 1.2,
+        predict_intercept(1.0, 2.0, -1.7, -1.8, 0.1) + 1.2,
     ]
     traces_ok = max(abs(t) for t in traces) < 1e-12
     elapsed = time.monotonic() - t0

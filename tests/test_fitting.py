@@ -35,8 +35,7 @@ class TestFitQuintic:
         v = np.arange(1.0, 17.0)
         e = (v - 8.0) ** 2 + 100.0
         fit = fit_quintic(np.column_stack([v, e]))
-        v_star, at_endpoint = optimal_velocity(fit)
-        assert not at_endpoint
+        v_star = optimal_velocity(fit)
         assert abs(v_star - brute_force_argmin(fit, 0.01)) < 0.25
         assert v_star == pytest.approx(8.0, abs=1e-6)
 
@@ -55,8 +54,7 @@ class TestOptimalVelocity:
     def test_monotone_profile_hits_lower_endpoint(self):
         v = np.arange(1.0, 17.0)
         fit = fit_quintic(np.column_stack([v, 3.0 * v + 1.0]))
-        v_star, at_endpoint = optimal_velocity(fit)
-        assert at_endpoint
+        v_star = optimal_velocity(fit)
         assert v_star == pytest.approx(1.0)
 
     def test_symmetric_parabola_vertex(self):
@@ -64,9 +62,8 @@ class TestOptimalVelocity:
         fit = QuinticFit(
             np.array([164.0, -16.0, 1.0, 0.0, 0.0, 0.0]), 0.0, 1.0, 16.0
         )
-        v_star, at_endpoint = optimal_velocity(fit)
+        v_star = optimal_velocity(fit)
         assert v_star == pytest.approx(8.0, abs=1e-6)
-        assert not at_endpoint
 
     def test_matches_grid_oracle_on_random_fits(self):
         rng = np.random.default_rng(7)
@@ -77,7 +74,7 @@ class TestOptimalVelocity:
             b = rng.uniform(0.3, 3.0)
             e = a / v + b * (v - m) ** 2 + rng.uniform(10, 50)
             fit = fit_quintic(np.column_stack([v, e]))
-            v_star, _ = optimal_velocity(fit)
+            v_star = optimal_velocity(fit)
             assert abs(v_star - brute_force_argmin(fit)) <= 0.01
 
     def test_never_outside_domain(self):
@@ -86,7 +83,7 @@ class TestOptimalVelocity:
         for _ in range(20):
             e = rng.uniform(-5, 5, len(v))
             fit = fit_quintic(np.column_stack([v, e]))
-            v_star, _ = optimal_velocity(fit)
+            v_star = optimal_velocity(fit)
             assert fit.v_lo <= v_star <= fit.v_hi
 
 
@@ -101,7 +98,7 @@ class TestBuildDataset:
         samples = build_dataset([2.0, 3.0, 4.0, 5.0, 6.0], coeffs, flight)
         for s in samples:
             fit = fit_quintic(energy_velocity_profile(coeffs, flight, s.depth))
-            if not optimal_velocity(fit)[1]:  # interior optimum
+            if fit.v_lo < s.v_star < fit.v_hi:  # interior optimum
                 scale = max(abs(k) for k in s.constraint)
                 residual = physics_term(s.constraint[None], np.array([s.v_star]))
                 assert abs(residual) < 1e-6 * max(scale, 1.0)

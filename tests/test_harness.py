@@ -655,6 +655,12 @@ class TestCsvAndConfig:
         with pytest.raises(ValueError, match="drone_x must be finite"):
             self._load(tmp_path, "[world]\ndrone_x = nan\n")
 
+    def test_overflowing_depth_rejected(self, tmp_path):
+        # both values are finite, but the depth between them is not
+        name = "drone_x = 1e+308 is not in front of gate_plane_x = -1e+308"
+        with pytest.raises(ValueError, match=re.escape(name)):
+            self._load(tmp_path, "[world]\ndrone_x = 1e308\ngate_plane_x = -1e308\n")
+
     def _load(self, tmp_path, text):
         path = tmp_path / "episode.ini"
         path.write_text(text)

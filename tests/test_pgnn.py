@@ -21,6 +21,7 @@ from gatesim.pgnn import (
     trajectory_time,
     write_loss_curve_csv,
 )
+from gatesim.planner import MinJerkTrajectory
 
 
 def toy_samples():
@@ -351,6 +352,20 @@ class TestTrajectoryTime:
             trajectory_time(float("nan"), 4.0)
         with pytest.raises(ValueError, match="depth .* is not positive"):
             trajectory_time(8.0, float("nan"))
+
+
+@pytest.mark.parametrize("flight_input, message", [
+    (lambda: mlp_forward(init_params(0), np.inf), "depth must be positive and finite"),
+    (lambda: mlp_forward(init_params(0), np.array([2.0, np.inf])), "depth must be positive and finite"),
+    (lambda: trajectory_time(np.inf, 4.0), "v_pred inf is not positive and finite"),
+    (lambda: trajectory_time(1.0, np.inf), "depth inf is not positive and finite"),
+    (lambda: MinJerkTrajectory([0.0], [1.0], np.inf), "duration inf is not positive and finite"),
+], ids=["mlp_forward", "mlp_forward_array", "v_pred", "depth", "duration"])
+def test_infinite_flight_input_rejected(flight_input, message):
+    # unchecked, these give a NaN velocity, an infinite flight time, or an
+    # OverflowError (which the CLI does not catch) when the trajectory is sampled
+    with pytest.raises(ValueError, match=message):
+        flight_input()
 
 
 def test_params_roundtrip(tmp_path, dataset):

@@ -4,9 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatesim.planner import (
-    InterceptResult,
     MinJerkTrajectory,
-    PlannerInput,
     predict_intercept,
     sample_arrays,
     write_trajectory_csv,
@@ -14,39 +12,38 @@ from gatesim.planner import (
 from gatesim.scene import step_gate
 
 
-def two_branch_intercept(inp: PlannerInput) -> InterceptResult:
+def two_branch_intercept(t_traj, bound, y1, y2, dt) -> float:
     """Reference intercept: separate right- and left-moving case analyses."""
-    if inp.y1 == inp.y2:
-        d2 = inp.bound - abs(inp.y2)
-        return InterceptResult(inp.y2, False, 0.0, d2, stationary=True)
+    if y1 == y2:
+        return y2
 
-    v_r = (inp.y2 - inp.y1) / inp.dt
-    d1 = abs(v_r) * inp.t_traj
-    L, y2 = inp.bound, inp.y2
+    v_r = (y2 - y1) / dt
+    d1 = abs(v_r) * t_traj
+    L = bound
 
     def fold():
-        return step_gate(float(np.clip(y2, -L, L)), v_r, L, inp.t_traj)[0]
+        return step_gate(float(np.clip(y2, -L, L)), v_r, L, t_traj)[0]
 
-    if y2 > inp.y1:
+    if y2 > y1:
         if y2 > 0:
             d2 = L - y2
         else:
             d2 = L + abs(y2)
         if d1 - d2 > 2.0 * L:
-            return InterceptResult(fold(), True, d1, d2, clamped=True)
+            return fold()
         if d1 > d2:
-            return InterceptResult(L - d1 + d2, True, d1, d2)
-        return InterceptResult(y2 + d1, False, d1, d2)
+            return L - d1 + d2
+        return y2 + d1
 
     if y2 < 0:
         d2 = abs(-L - y2)
     else:
         d2 = L + y2
     if d1 - d2 > 2.0 * L:
-        return InterceptResult(fold(), True, d1, d2, clamped=True)
+        return fold()
     if d1 > d2:
-        return InterceptResult(-L + d1 - d2, True, d1, d2)
-    return InterceptResult(y2 - d1, False, d1, d2)
+        return -L + d1 - d2
+    return y2 - d1
 
 
 # fractions of the bound, with the walls and both zeros drawn often
@@ -67,33 +64,20 @@ class TestPredictIntercept:
     @example(bound=2.0, u1=-0.1, u2=0.0, t_traj=0.5, dt=0.1)
     @settings(max_examples=1000, deadline=None)
     def test_matches_two_branch_reference(self, bound, u1, u2, t_traj, dt):
-        inp = PlannerInput(t_traj, bound, u1 * bound, u2 * bound, dt)
-        assert predict_intercept(inp) == two_branch_intercept(inp)
+        inp = (t_traj, bound, u1 * bound, u2 * bound, dt)
+        assert predict_intercept(*inp) == two_branch_intercept(*inp)
 
     def test_straight_run_moving_right(self):
-        res = predict_intercept(PlannerInput(1.0, 2.0, 0.4, 0.5, 0.1))
-        assert res.y_star == pytest.approx(1.5, abs=1e-12)
-        assert not res.direction_changed
-        assert res.d1 == pytest.approx(1.0, abs=1e-12)
-        assert res.d2 == pytest.approx(1.5, abs=1e-12)
+        assert predict_intercept(1.0, 2.0, 0.4, 0.5, 0.1) == pytest.approx(1.5, abs=1e-12)
 
     def test_bounce_moving_right(self):
-        res = predict_intercept(PlannerInput(1.0, 2.0, 1.7, 1.8, 0.1))
-        assert res.y_star == pytest.approx(1.2, abs=1e-12)
-        assert res.direction_changed
-        assert res.d2 == pytest.approx(0.2, abs=1e-12)
+        assert predict_intercept(1.0, 2.0, 1.7, 1.8, 0.1) == pytest.approx(1.2, abs=1e-12)
 
     def test_bounce_moving_left(self):
-        res = predict_intercept(PlannerInput(1.0, 2.0, -1.7, -1.8, 0.1))
-        assert res.y_star == pytest.approx(-1.2, abs=1e-12)
-        assert res.direction_changed
-        assert res.d2 == pytest.approx(0.2, abs=1e-12)
+        assert predict_intercept(1.0, 2.0, -1.7, -1.8, 0.1) == pytest.approx(-1.2, abs=1e-12)
 
     def test_stationary_gate_flagged(self):
-        res = predict_intercept(PlannerInput(1.0, 2.0, 0.5, 0.5, 0.1))
-        assert res.stationary
-        assert res.y_star == 0.5
-        assert res.d1 == 0.0
+        assert predict_intercept(1.0, 2.0, 0.5, 0.5, 0.1) == 0.5
 
     @given(
         y2=st.floats(-1.99, 1.99),
@@ -108,12 +92,10 @@ class TestPredictIntercept:
         if abs(y1) > L:
             return
         d1 = abs(v) * t_traj
-        res = predict_intercept(PlannerInput(t_traj, L, y1, y2, dt))
-        if res.clamped:
-            return
+        y_star = predict_intercept(t_traj, L, y1, y2, dt)
         truth = step_gate(y2, v, L, t_traj)[0]
-        assert res.y_star == pytest.approx(truth, abs=1e-9)
-        assert abs(res.y_star) <= L + 1e-9
+        assert y_star == pytest.approx(truth, abs=1e-9)
+        assert abs(y_star) <= L + 1e-9
 
     @given(
         y1=st.floats(-1.9, 1.9),
@@ -124,50 +106,53 @@ class TestPredictIntercept:
     def test_mirror_symmetry(self, y1, y2, t_traj):
         if y1 == y2:
             return
-        a = predict_intercept(PlannerInput(t_traj, 2.0, y1, y2, 0.1))
-        b = predict_intercept(PlannerInput(t_traj, 2.0, -y1, -y2, 0.1))
-        assert a.y_star == pytest.approx(-b.y_star, abs=1e-9)
+        a = predict_intercept(t_traj, 2.0, y1, y2, 0.1)
+        b = predict_intercept(t_traj, 2.0, -y1, -y2, 0.1)
+        assert a == pytest.approx(-b, abs=1e-9)
 
     def test_mirror_symmetry_is_exact_past_the_wall(self):
-        # PlannerInput accepts positions up to 1e-9 beyond the wall; a
+        # predict_intercept accepts positions up to 1e-9 beyond the wall; a
         # left-moving gate there is the exact mirror of a right-moving one
-        a = predict_intercept(PlannerInput(0.5, 2.0, -1.9, -2.0 - 5e-10, 0.1))
-        b = predict_intercept(PlannerInput(0.5, 2.0, 1.9, 2.0 + 5e-10, 0.1))
-        assert a.y_star == -b.y_star
-        assert (a.direction_changed, a.d1, a.d2) == (b.direction_changed, b.d1, b.d2)
+        a = predict_intercept(0.5, 2.0, -1.9, -2.0 - 5e-10, 0.1)
+        b = predict_intercept(0.5, 2.0, 1.9, 2.0 + 5e-10, 0.1)
+        assert a == -b
 
     def test_multi_bounce_clamped_to_kinematics(self):
         # gate travels 4.5 corridor widths: far outside the case analysis
-        inp = PlannerInput(t_traj=9.0, bound=2.0, y1=0.4, y2=0.5, dt=0.1)
-        res = predict_intercept(inp)
-        assert res.clamped
+        y_star = predict_intercept(t_traj=9.0, bound=2.0, y1=0.4, y2=0.5, dt=0.1)
         truth = step_gate(0.5, 1.0, 2.0, 9.0)[0]
-        assert res.y_star == pytest.approx(truth, abs=1e-9)
-        assert abs(res.y_star) <= 2.0
+        assert y_star == pytest.approx(truth, abs=1e-9)
+        assert abs(y_star) <= 2.0
 
     def test_clamped_fold_starts_at_the_wall(self):
-        # y2 lies past the wall but within PlannerInput's 1e-9 tolerance; the
-        # fold starts from the wall, which moves y* by 5e-10 here
+        # y2 lies past the wall but within predict_intercept's 1e-9 tolerance;
+        # the fold starts from the wall, which moves y* by 5e-10 here
         y2 = 2.0 + 5e-10
-        res = predict_intercept(PlannerInput(t_traj=9.0, bound=2.0, y1=1.0, y2=y2, dt=1.0))
-        assert res.clamped
-        assert res.y_star == step_gate(2.0, (y2 - 1.0) / 1.0, 2.0, 9.0)[0]
+        y_star = predict_intercept(t_traj=9.0, bound=2.0, y1=1.0, y2=y2, dt=1.0)
+        assert y_star == step_gate(2.0, (y2 - 1.0) / 1.0, 2.0, 9.0)[0]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            PlannerInput(0.0, 2.0, 0.1, 0.2, 0.1)
+            predict_intercept(0.0, 2.0, 0.1, 0.2, 0.1)
         with pytest.raises(ValueError):
-            PlannerInput(1.0, -2.0, 0.1, 0.2, 0.1)
+            predict_intercept(1.0, -2.0, 0.1, 0.2, 0.1)
         with pytest.raises(ValueError):
-            PlannerInput(1.0, 2.0, 2.5, 0.2, 0.1)
+            predict_intercept(1.0, 2.0, 2.5, 0.2, 0.1)
         with pytest.raises(ValueError):
-            PlannerInput(1.0, 2.0, 0.1, 0.2, 0.0)
+            predict_intercept(1.0, 2.0, 0.1, 0.2, 0.0)
         nan = float("nan")
         for args in [(nan, 2.0, 0.1, 0.2, 0.1), (1.0, nan, 0.1, 0.2, 0.1),
                      (1.0, 2.0, nan, 0.2, 0.1), (1.0, 2.0, 0.1, nan, 0.1),
                      (1.0, 2.0, 0.1, 0.2, nan)]:
             with pytest.raises(ValueError):
-                PlannerInput(*args)
+                predict_intercept(*args)
+
+    @pytest.mark.parametrize("name", ["t_traj", "bound", "dt"])
+    def test_infinite_input_rejected(self, name):
+        # unchecked, an infinite flight time gives a NaN y*, an infinite bound or dt a finite one
+        args = {**dict(t_traj=1.0, bound=2.0, y1=0.4, y2=0.5, dt=0.1), name: float("inf")}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            predict_intercept(**args)
 
 
 def jerk_integral(positions, dt):

@@ -5,7 +5,9 @@ or assigned name.
 A name counts as reached when some other top-level statement of the package
 refers to it as a name or an attribute (docstrings and imports do not
 count).  A public name that only tests or perfbench call must be listed below
-with the reason it stays; a private one has no such list.
+with the reason it stays; a private one has no such list.  Every dataclass
+field must likewise be read as an attribute somewhere in the package, or be
+listed with the reason it stays.
 """
 
 import ast
@@ -21,6 +23,20 @@ KEPT_UNREACHED = {
     "write_events_csv": "the planned episode record's event export",
     "write_track_csv": "the planned episode record's track export",
     "write_dataset_csv": "the only practical producer of `train-pgnn --dataset` input",
+}
+
+UNREAD_FIELDS = {
+    "GridResult.mode": "written to the grid CSV through `astuple`",
+    "GateTrack.center_x": "written to the track CSV through `astuple`",
+    "GateTrack.center_y": "written to the track CSV through `astuple`",
+    **dict.fromkeys(
+        [f"EnergyComparison.{name}" for name in (
+            "mean_event_J", "mean_depth_J", "mean_surplus_J", "n_pairs",
+            "event_success_rate", "depth_success_rate")],
+        "returned by the listed `energy_comparison`",
+    ),
+    "EnergyCoefficients.j_total": "hashed through its repr by perfbench's `models_digest`",
+    "QuinticFit.residual_rms": "the fit evidence ROADMAP item 3 quotes",
 }
 
 
@@ -79,3 +95,25 @@ def test_every_public_definition_is_reached_or_listed():
 
 def test_every_private_definition_is_reached():
     assert _unreached(private=True) == set()
+
+
+def test_every_dataclass_field_is_read_or_listed():
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    fields = {
+        f"{top.name}.{stmt.target.id}": stmt.target.id
+        for module in modules
+        for top in module.body
+        if isinstance(top, ast.ClassDef)
+        and any(ast.unparse(dec).startswith("dataclass") for dec in top.decorator_list)
+        for stmt in top.body
+        if isinstance(stmt, ast.AnnAssign) and "ClassVar" not in ast.unparse(stmt.annotation)
+    }
+    read = {
+        node.attr
+        for module in modules
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {key for key, name in fields.items() if name not in read}
+    assert unread - set(UNREAD_FIELDS) == set(), "unread and unlisted"
+    assert set(UNREAD_FIELDS) - unread == set(), "listed but read, or gone"
