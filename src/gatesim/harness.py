@@ -185,8 +185,7 @@ def perceive(cfg: EpisodeConfig) -> tuple[Measurement | None, float]:
     tracks: list[GateTrack] = []
     empty_streak = 0
     for bin_idx in range(cfg.max_sensing_bins + 1):
-        events = sim.step(frames_per_bin)[2]
-        box = tracker.process_bin(events)
+        box = tracker.process_bin(*sim.step(frames_per_bin)[2:])
         if bin_idx == 0:
             continue  # warm-up bin: no previous events, so never a box
         if box is None:

@@ -73,8 +73,8 @@ class MinJerkTrajectory:
             raise ValueError("start and end must have matching axes")
         if not 0 < self.duration < np.inf:
             raise ValueError(f"duration {self.duration} is not positive and finite")
-        if not self.sample_dt > 0:
-            raise ValueError("sample_dt must be positive")
+        if not 0 < self.sample_dt < np.inf:
+            raise ValueError(f"sample_dt {self.sample_dt} is not positive and finite")
 
 
 def sample_arrays(traj: MinJerkTrajectory):

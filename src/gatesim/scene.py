@@ -7,7 +7,8 @@ camera has fixed intrinsics (500 px focal length, 640x480 sensor) and looks
 along -x from the drone, so projection is a few scalar formulas.  A
 simulated event camera watches the gate plane and emits per-pixel polarity
 events whenever the rasterized hoop annulus covers or uncovers a pixel
-between consecutive frames.
+between consecutive frames: ``EventCameraSim.step`` returns a bin's record of
+them (event pixels and counts), ``EventCameraSim.events`` the event stream.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def events_to_frame(events: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndar
     Returns ``(pixels, counts)``: the flat indices (row * width + column)
     into a frame of ``shape`` pixels that saw an event, sorted and unique,
     and their event counts over both polarities.  An event outside the frame
-    raises ValueError.  The name is kept from the dense count frame this
-    once built, because profilers look the stage up by it.
+    raises ValueError.  ``EventCameraSim.step`` builds the same record without
+    the stream; this is its reference.
     """
     h, w = shape
     ys, xs = events["y"], events["x"]
@@ -249,7 +250,9 @@ class EventCameraSim:
     (y, velocity) pair with ``step_gate`` and emits the coverage-change
     events, timestamped at the new frame time.  ``gate`` defaults to
     ``(gate_y0, gate_speed)``.  Optionally injects spurious events at
-    uniformly random pixels.
+    uniformly random pixels.  ``step`` returns a bin's events as the
+    tracker's record, ``events`` as a stream for export and tests; both
+    advance the time, the gate and the generator alike.
     """
 
     def __init__(self, config: WorldConfig, start_time: float = 0.0,
@@ -260,10 +263,9 @@ class EventCameraSim:
         self.gate = gate if gate is not None else (config.gate_y0, config.gate_speed)
         self._rng = np.random.default_rng(config.seed)
 
-    def step(self, frames: int = 1) -> tuple[float, tuple[float, float], np.ndarray]:
-        """Advance ``frames`` frames; returns (last frame time, its gate (y, velocity), events):
-        frame by frame, the coverage changes in row-major order, +1 where the
-        new frame covers, then that frame's spurious events."""
+    def _render(self, frames: int):
+        """Advance ``frames`` frames: their times, ``_ring_coverage`` over the gate
+        positions before and after each, and each frame's spurious draws."""
         check_integer("frames", frames, 1)
         cfg = self.config
         # one fold per frame: the position at t * k directly would round differently
@@ -276,19 +278,41 @@ class EventCameraSim:
             times.append(self.time)
         self.gate = y, velocity
         pixels, covered = _ring_coverage(cfg, gate_ys)
+        # Per frame, the count, columns, rows and polarities (which only ``events``
+        # reads) are drawn in that order: the generator's stream is part of the output.
+        draws = []
+        if cfg.spurious_rate > 0:
+            rng, w, h = self._rng, self.camera.width, self.camera.height
+            for _ in times:
+                n = rng.poisson(cfg.spurious_rate * cfg.frame_dt)
+                draws.append((rng.integers(0, w, n), rng.integers(0, h, n), rng.integers(0, 2, n)))
+        return times, pixels, covered, draws
+
+    def step(self, frames: int = 1) -> tuple[float, tuple[float, float], np.ndarray, np.ndarray]:
+        """Advance ``frames`` frames; returns (last frame time, its gate (y, velocity),
+        pixels, counts): the bin's event record, as ``events_to_frame`` of ``events``
+        would give it, built without the stream."""
+        times, pixels, covered, draws = self._render(frames)
+        counts = np.count_nonzero(covered[1:] != covered[:-1], axis=0)
+        pixels, counts = pixels[counts > 0], counts[counts > 0]
+        if draws:
+            w = self.camera.width
+            pixels, counts = np.unique(np.concatenate(
+                [np.repeat(pixels, counts), *(ys * w + xs for xs, ys, _ in draws)]),
+                return_counts=True)
+        return self.time, self.gate, pixels, counts
+
+    def events(self, frames: int = 1) -> tuple[float, tuple[float, float], np.ndarray]:
+        """Advance ``frames`` frames like ``step``; returns (last frame time, its gate, events):
+        frame by frame, the coverage changes in row-major order, +1 where the
+        new frame covers, then that frame's spurious events."""
+        times, pixels, covered, draws = self._render(frames)
         frame, j = np.divmod(np.flatnonzero(covered[1:] != covered[:-1]), len(pixels))
         events = np.empty(len(j), dtype=EVENT_DTYPE)
         events["t"] = np.array(times)[frame]
         events["y"], events["x"] = np.divmod(pixels[j], self.camera.width)
         events["p"] = np.where(covered[frame + 1, j], 1, -1)
-        if cfg.spurious_rate > 0:
-            # Per frame, the count, columns, rows and polarities are drawn in
-            # that order: the generator's stream is part of the output.
-            rng, w, h = self._rng, self.camera.width, self.camera.height
-            draws = []
-            for _ in times:
-                n = rng.poisson(cfg.spurious_rate * cfg.frame_dt)
-                draws.append((rng.integers(0, w, n), rng.integers(0, h, n), rng.integers(0, 2, n)))
+        if draws:
             # one array for the bin: each frame's ring events, then its spurious ones
             ring = events
             events = np.empty(len(ring) + sum(len(d[0]) for d in draws), dtype=EVENT_DTYPE)

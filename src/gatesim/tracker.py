@@ -8,7 +8,7 @@ recovered around spiking neurons localizes the moving gate in pixels; the
 harness back-projects the box center's column at a depth reading
 (``pixel_to_world_y``) and records the fix as a ``GateTrack``.
 
-A bin reaches the layer as one sparse record from ``events_to_frame``: its
+A bin reaches the layer as one sparse record from ``EventCameraSim.step``: its
 event pixels as sorted, unique flat indices, and their counts.  ``lif_step``
 updates, in place, the crop of the full-sensor membrane the tracker hands it;
 its kernel drive is scattered from the record, so its cost follows the pixels
@@ -26,7 +26,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .scene import CameraModel, events_to_frame
+# events_to_frame is unused here, but perfbench's tracer reads tracker.events_to_frame
+from .scene import CameraModel, events_to_frame  # noqa: F401
 
 # the layer's LIF neurons (reset-to-zero) and the 3x3 kernel weighting each
 # neuron's neighbourhood of event counts
@@ -41,7 +42,7 @@ def lif_step(grid: np.ndarray, pixels: np.ndarray,
     """One LIF update in place: U <- LEAK * U + KERNEL (x) frame; spike and reset at THRESHOLD.
 
     ``grid`` must be a writable float64 array.  ``frame`` is the bin's count
-    frame over the grid, zero outside it, given as ``events_to_frame``'s
+    frame over the grid, zero outside it, given as ``EventCameraSim.step``'s
     record: ``pixels``, strictly increasing flat indices (row * width +
     column) into the grid, and their ``counts``.  No frame is built.
 
@@ -115,7 +116,7 @@ def track_bbox(spikes: np.ndarray, prev_pixels: np.ndarray) -> BoundingBox | Non
     """Box over the previous bin's events recovered around spiking neurons.
 
     ``prev_pixels`` are the previous bin's event pixels as flat indices into
-    the spike frame, as ``events_to_frame`` records them; one outside the
+    the spike frame, as ``EventCameraSim.step`` records them; one outside the
     frame raises ValueError.  Event pixels within the 3x3 neighborhood of
     any spiking neuron are recovered (one-bin delay); returns None when
     nothing spiked or no events fall in the spiking neighborhoods.  The spike
@@ -161,7 +162,7 @@ class GateTrack:
 
 
 class SnnGateTracker:
-    """Stateful per-bin spiking layer for one event stream.
+    """Stateful per-bin spiking layer for one event camera.
 
     Bins must be processed in order: each call integrates the bin's event
     record into the LIF layer and recovers the box from the previous bin's
@@ -194,9 +195,10 @@ class SnnGateTracker:
         h, w = self.camera.shape
         return max(min(y0) - 1, 0), min(max(y1) + 1, h), max(min(x0) - 1, 0), min(max(x1) + 1, w)
 
-    def process_bin(self, events: np.ndarray) -> BoundingBox | None:
-        """Consume one sensing bin of events; returns the gate's pixel box, if found."""
-        pixels, counts = events_to_frame(events, self.camera.shape)
+    def process_bin(self, pixels: np.ndarray, counts: np.ndarray) -> BoundingBox | None:
+        """Consume one sensing bin's event record (``EventCameraSim.step``'s pixels and
+        counts); returns the gate's pixel box, if found.  The record is checked by
+        ``lif_step``, which raises before any state changes."""
         ys, xs = np.divmod(pixels, self.camera.width)
         region = y0, y1, x0, x1 = self._region(ys, xs)
         w = x1 - x0

@@ -22,7 +22,6 @@ from gatesim.motor import (
 from gatesim.planner import MinJerkTrajectory, predict_intercept, sample_arrays
 from gatesim.scene import EventCameraSim, WorldConfig, annulus_bbox, step_gate
 from gatesim.tracker import lif_step, track_bbox
-from gatesim.scene import events_to_frame
 
 
 def report(name: str, ok: bool, detail: str):
@@ -292,8 +291,7 @@ def _tracking_iou(depth: float, n_bins: int = 30, speed: float = 0.5) -> float:
     ious = []
     for _ in range(n_bins):
         mid_y = step_gate(*sim.gate, cfg.gate_bound, cfg.sensing_dt / 2)[0]
-        events = np.concatenate([sim.step()[2] for _ in range(10)])
-        pixels, counts = events_to_frame(events, cam.shape)
+        pixels, counts = sim.step(10)[2:]
         membrane, spikes = lif_step(membrane, pixels, counts)
         if prev_pixels is not None and prev_mid is not None:
             box = track_bbox(spikes, prev_pixels)

@@ -228,6 +228,12 @@ class TestMinJerk:
         with pytest.raises(ValueError):
             MinJerkTrajectory(np.zeros(2), np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("sample_dt", [float("inf"), float("nan"), 0.0, -1e-3])
+    def test_sample_dt_must_be_positive_and_finite(self, sample_dt):
+        # unchecked, an infinite step gave one sample at the end time and a RuntimeWarning
+        with pytest.raises(ValueError, match="sample_dt .* is not positive and finite"):
+            MinJerkTrajectory([0.0, 0.0], [1.0, 1.0], 1.0, sample_dt=sample_dt)
+
     def test_sample_arrays_cover_duration(self):
         traj = MinJerkTrajectory([0.0], [1.0], 0.3337)
         times, pos, _, _ = sample_arrays(traj)

@@ -20,6 +20,8 @@ KEPT_UNREACHED = {
                          "and criterion 10 and perfbench call it",
     "load_params": "reads `train-pgnn --out`; a planned `--params` option calls it",
     "annulus_bbox": "criterion 9's reference box",
+    "events_to_frame": "the reference the event-record oracle compares `EventCameraSim.step` "
+                       "against; perfbench's tracer wraps it as `tracker.events_to_frame`",
     "write_events_csv": "the planned episode record's event export",
     "write_track_csv": "the planned episode record's track export",
     "write_dataset_csv": "the only practical producer of `train-pgnn --dataset` input",

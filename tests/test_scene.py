@@ -142,11 +142,11 @@ class TestEventGeneration:
 
     def test_static_scene_no_events(self):
         sim = EventCameraSim(WorldConfig(gate_y0=0.0, gate_speed=0.0, drone_x=2.0))
-        _, _, events = sim.step()
+        _, _, events = sim.events()
         assert len(events) == 0
 
     def test_moving_gate_produces_polarized_events(self):
-        _, moved, events = EventCameraSim(self.cfg).step()
+        _, moved, events = EventCameraSim(self.cfg).events()
         assert moved == step_gate(self.cfg.gate_y0, self.cfg.gate_speed, self.cfg.gate_bound, 0.01)
         assert len(events) > 0
         assert set(np.unique(events["p"])) <= {-1, 1}
@@ -155,7 +155,7 @@ class TestEventGeneration:
     def test_events_inside_union_of_annuli(self):
         # brute-force containment oracle: rasterize both annuli
         cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, drone_x=2.0, frame_dt=0.05)
-        _, moved, events = EventCameraSim(cfg).step()  # several-pixel displacement
+        _, moved, events = EventCameraSim(cfg).events()  # several-pixel displacement
         union = np.union1d(annulus_mask(cfg, cfg.gate_y0), annulus_mask(cfg, moved[0]))
         assert len(events) > 0
         assert np.isin(events["y"] * self.cam.width + events["x"], union).all()
@@ -163,21 +163,21 @@ class TestEventGeneration:
     def test_events_within_sensor_bounds(self):
         sim = EventCameraSim(self.cfg)
         for _ in range(20):
-            _, _, events = sim.step()
+            _, _, events = sim.events()
             if len(events):
                 assert events["x"].min() >= 0 and events["x"].max() < 640
                 assert events["y"].min() >= 0 and events["y"].max() < 480
 
     def test_timestamps_nondecreasing(self):
         sim = EventCameraSim(self.cfg)
-        stream = np.concatenate([sim.step()[2] for _ in range(15)])
+        stream = np.concatenate([sim.events()[2] for _ in range(15)])
         assert np.all(np.diff(stream["t"]) >= 0)
 
     def test_identical_configs_give_bit_identical_streams(self):
         sims = EventCameraSim(self.cfg), EventCameraSim(self.cfg)
         for _ in range(10):
-            ea = sims[0].step()[2]
-            eb = sims[1].step()[2]
+            ea = sims[0].events()[2]
+            eb = sims[1].events()[2]
             assert np.array_equal(ea, eb)
 
     def test_spurious_events_seeded(self):
@@ -187,12 +187,12 @@ class TestEventGeneration:
         counts = []
         for _ in range(2):
             sim = EventCameraSim(noisy)
-            counts.append(sum(len(sim.step()[2]) for _ in range(10)))
+            counts.append(sum(len(sim.events()[2]) for _ in range(10)))
         assert counts[0] == counts[1]
         assert counts[0] > 0  # the gate is static, so all events are spurious
 
     def test_event_frame_counts(self):
-        _, _, events = EventCameraSim(self.cfg).step()
+        _, _, events = EventCameraSim(self.cfg).events()
         _, counts = events_to_frame(events, self.cam.shape)
         assert counts.sum() == len(events)
         assert counts.max() == 1  # one coverage flip per pixel per frame pair
@@ -211,7 +211,7 @@ def _check_event_record(events, shape):
 def test_event_record_matches_dense_bincount(oracle_world):
     sim = EventCameraSim(oracle_world)
     for _ in range(4):
-        _check_event_record(sim.step(10)[2], CameraModel.shape)
+        _check_event_record(sim.events(10)[2], CameraModel.shape)
 
 
 def test_event_record_of_a_hand_built_bin():
@@ -292,7 +292,7 @@ class TestAnnulus:
 class _DenseEventCamera(EventCameraSim):
     """The full-frame event path: dense masks, XOR, nonzero, then spurious events."""
 
-    def step(self):
+    def events(self):
         cfg = self.config
         before = TestAnnulus._reference_mask(cfg, self.gate[0])
         self.gate = step_gate(*self.gate, cfg.gate_bound, cfg.frame_dt)
@@ -329,8 +329,8 @@ class _DenseEventCamera(EventCameraSim):
 def test_step_events_equal_dense_reference(oracle_world):
     sparse, dense = EventCameraSim(oracle_world), _DenseEventCamera(oracle_world)
     for _ in range(12):
-        t, gate, events = sparse.step()
-        t_ref, gate_ref, expected = dense.step()
+        t, gate, events = sparse.events()
+        t_ref, gate_ref, expected = dense.events()
         assert (t, gate) == (t_ref, gate_ref)
         assert events.dtype == expected.dtype
         assert events.tobytes() == expected.tobytes()  # values and order
@@ -339,13 +339,13 @@ def test_step_events_equal_dense_reference(oracle_world):
 def test_step_frames_equal_single_steps(oracle_world):
     batched, single = EventCameraSim(oracle_world), EventCameraSim(oracle_world)
     for _ in range(2):
-        t, gate, events = batched.step(10)
-        expected = np.concatenate([single.step()[2] for _ in range(10)])
+        t, gate, events = batched.events(10)
+        expected = np.concatenate([single.events()[2] for _ in range(10)])
         assert (t, gate) == (single.time, single.gate)
         assert events.tobytes() == expected.tobytes()
     # the time, the gate and the spurious-event stream carry on alike
-    t, gate, events = batched.step()
-    t_ref, gate_ref, expected = single.step()
+    t, gate, events = batched.events()
+    t_ref, gate_ref, expected = single.events()
     assert (t, gate) == (t_ref, gate_ref)
     assert events.tobytes() == expected.tobytes()
 
@@ -362,9 +362,24 @@ def test_step_frames_draw_the_single_steps_stream(oracle_world):
 @pytest.mark.parametrize("frames", [0, -2, 1.5, True])
 def test_step_frames_must_be_a_positive_integer(frames):
     sim = EventCameraSim(WorldConfig())
-    with pytest.raises(ValueError, match="frames"):
-        sim.step(frames)
+    for advance in (sim.step, sim.events):
+        with pytest.raises(ValueError, match="frames"):
+            advance(frames)
     assert sim.time == 0.0 and sim.gate == (WorldConfig().gate_y0, WorldConfig().gate_speed)
+
+
+def test_step_record_equals_the_record_of_the_stream(oracle_world):
+    # step builds the bin's record without the stream; it must be the record
+    # events_to_frame makes of events' stream, and draw the same generator stream
+    a, b = EventCameraSim(oracle_world), EventCameraSim(oracle_world)
+    for _ in range(4):
+        t, gate, pixels, counts = a.step(10)
+        t_ref, gate_ref, events = b.events(10)
+        assert (t, gate) == (t_ref, gate_ref)
+        want_pixels, want_counts = events_to_frame(events, CameraModel.shape)
+        np.testing.assert_array_equal(pixels, want_pixels)
+        np.testing.assert_array_equal(counts, want_counts)
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
 
 def _edge_worlds():
@@ -427,9 +442,9 @@ def test_band_edge_ties_match_reference(world):
     np.testing.assert_array_equal(annulus_mask(cfg, cfg.gate_y0), np.flatnonzero(expected))
     batched, single, dense = EventCameraSim(cfg), EventCameraSim(cfg), _DenseEventCamera(cfg)
     for _ in range(2):
-        t, gate, events = batched.step(5)
-        per_frame = np.concatenate([single.step()[2] for _ in range(5)])
-        expected = np.concatenate([dense.step()[2] for _ in range(5)])
+        t, gate, events = batched.events(5)
+        per_frame = np.concatenate([single.events()[2] for _ in range(5)])
+        expected = np.concatenate([dense.events()[2] for _ in range(5)])
         assert (t, gate) == (single.time, single.gate) == (dense.time, dense.gate)
         assert events.tobytes() == per_frame.tobytes() == expected.tobytes()
 
@@ -454,7 +469,7 @@ def test_world_gate_accepts_gate_state_bounds():
 def test_events_csv_format(tmp_path):
     cfg = WorldConfig(gate_y0=0.0, gate_speed=1.0, drone_x=2.0)
     sim = EventCameraSim(cfg)
-    events = np.concatenate([sim.step()[2] for _ in range(3)])
+    events = np.concatenate([sim.events()[2] for _ in range(3)])
     path = tmp_path / "events.csv"
     write_events_csv(events, path)
     lines = path.read_text().splitlines()

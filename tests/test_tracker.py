@@ -278,8 +278,7 @@ class TestTrackerPipeline:
         frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
         boxes, gate_ys = [], []
         for _ in range(n_bins):
-            events = np.concatenate([sim.step()[2] for _ in range(frames_per_bin)])
-            boxes.append(tracker.process_bin(events))
+            boxes.append(tracker.process_bin(*sim.step(frames_per_bin)[2:]))
             gate_ys.append(sim.gate[0])
         return boxes, gate_ys
 
@@ -312,11 +311,8 @@ class TestTrackerPipeline:
             total = 0
 
             for _ in range(int(np.ceil(traversal / cfg.sensing_dt))):
-                events = np.concatenate(
-                    [sim.step()[2] for _ in range(frames_per_bin)]
-                )
                 tracker.membrane, spikes = lif_step(
-                    tracker.membrane, *events_to_frame(events, cam.shape))
+                    tracker.membrane, *sim.step(frames_per_bin)[2:])
                 total += int(spikes.sum())
             return total
 
@@ -373,8 +369,8 @@ def test_process_bin_equals_dense_reference(oracle_world, monkeypatch):
     dense = _DenseTracker(cam)
     sim = EventCameraSim(oracle_world)
     for _ in range(8):
-        events = np.concatenate([sim.step()[2] for _ in range(10)])
-        assert sparse.process_bin(events) == dense.process_bin(events)
+        events = sim.events(10)[2]
+        assert sparse.process_bin(*events_to_frame(events, cam.shape)) == dense.process_bin(events)
         assert sparse.membrane.tobytes() == dense.membrane.tobytes()
         assert spike_counts == dense.spike_counts
 
@@ -401,11 +397,11 @@ def test_full_sensor_bin_peaks_below_two_float64_frames():
     sim = EventCameraSim(cfg)
     tracker = SnnGateTracker(cam)
     frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
-    tracker.process_bin(sim.step(frames_per_bin)[2])
-    events = sim.step(frames_per_bin)[2]
+    tracker.process_bin(*sim.step(frames_per_bin)[2:])
+    record = sim.step(frames_per_bin)[2:]
     tracemalloc.start()
     try:
-        tracker.process_bin(events)
+        tracker.process_bin(*record)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -422,17 +418,49 @@ def test_full_sensor_bin_peaks_below_one_and_a_half_float64_frames():
     sim = EventCameraSim(cfg)
     tracker = SnnGateTracker(cfg.camera())
     frames_per_bin = round(cfg.sensing_dt / cfg.frame_dt)
-    tracker.process_bin(sim.step(frames_per_bin)[2])
-    events = sim.step(frames_per_bin)[2]
+    tracker.process_bin(*sim.step(frames_per_bin)[2:])
+    record = sim.step(frames_per_bin)[2:]
     tracemalloc.start()
     try:
-        tracker.process_bin(events)
+        tracker.process_bin(*record)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     h, w = cfg.camera().shape
     assert tracker._live == (0, h, 0, w)
     assert peak < 1.5 * h * w * np.dtype(np.float64).itemsize
+
+
+_MALFORMED_RECORDS = {
+    "pixel-past-the-sensor": lambda p, c: (np.append(p, 480 * 640), np.append(c, 1)),
+    "negative-pixel": lambda p, c: (np.insert(p, 0, -1), np.insert(c, 0, 1)),
+    "unsorted-pixels": lambda p, c: (p[[1, 0, *range(2, len(p))]], c),
+    "duplicate-pixel": lambda p, c: (np.insert(p, 0, p[0]), np.insert(c, 0, 1)),
+    "negative-count": lambda p, c: (p, np.insert(c[1:], 0, -1)),
+    "counts-of-another-length": lambda p, c: (p, c[:-1]),
+    "float-pixels": lambda p, c: (p.astype(np.float64), c),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_MALFORMED_RECORDS.values()),
+                         ids=list(_MALFORMED_RECORDS))
+def test_process_bin_rejects_a_malformed_record_and_keeps_its_state(corrupt):
+    # the record comes from step with no frame check of its own; lif_step's
+    # checks run before the tracker writes anything
+    cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
+    sim = EventCameraSim(cfg)
+    tracker = SnnGateTracker(cfg.camera())
+    tracker.process_bin(*sim.step(10)[2:])
+    pixels, counts = sim.step(10)[2:]
+    assert len(pixels) > 2
+    membrane, live = tracker.membrane.copy(), tracker._live
+    live_ys, live_xs = (a.copy() for a in tracker._live_pixels)
+    with pytest.raises(ValueError):
+        tracker.process_bin(*corrupt(pixels, counts))
+    assert tracker.membrane.tobytes() == membrane.tobytes()
+    assert tracker._live == live
+    np.testing.assert_array_equal(tracker._live_pixels[0], live_ys)
+    np.testing.assert_array_equal(tracker._live_pixels[1], live_xs)
 
 
 def _lif_step_reference(grid, frame):
@@ -619,8 +647,8 @@ def test_lif_step_and_track_bbox_match_reference_on_world_bins(oracle_world, mon
     grid, prev = np.zeros(cam.shape), None
     sim = EventCameraSim(oracle_world)
     for _ in range(8):
-        events = np.concatenate([sim.step()[2] for _ in range(10)])
-        sparse.process_bin(events)
+        events = sim.events(10)[2]
+        sparse.process_bin(*events_to_frame(events, cam.shape))
         frame = _count_frame(events, cam.shape)
         grid, spikes = _lif_step_checked(grid, frame)
         if prev is not None:
@@ -640,11 +668,11 @@ def test_process_bin_looks_up_the_traced_stages_through_the_module(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("events_to_frame", "lif_step", "track_bbox"):
+    for name in ("lif_step", "track_bbox"):
         monkeypatch.setattr(tracker_mod, name, counted(name, getattr(tracker_mod, name)))
     cfg = WorldConfig(gate_y0=-0.5, gate_speed=0.5, gate_bound=0.6, drone_x=2.0)
     sim = EventCameraSim(cfg)
     tracker = SnnGateTracker(cfg.camera())
     for _ in range(3):
-        tracker.process_bin(np.concatenate([sim.step()[2] for _ in range(10)]))
-    assert calls == Counter(events_to_frame=3, lif_step=3, track_bbox=2)
+        tracker.process_bin(*sim.step(10)[2:])
+    assert calls == Counter(lif_step=3, track_bbox=2)
